@@ -116,13 +116,11 @@ impl Args {
         gen.generate(seed)
     }
 
-    /// The Table I configuration matching the selected trace style.
+    /// The Table I configuration. Both trace styles share it; the trace
+    /// supplies the node count and the duration.
     #[must_use]
     pub fn config(&self) -> SimConfig {
-        match self.style {
-            TraceStyle::MitLike => SimConfig::mit_default(),
-            TraceStyle::CambridgeLike => SimConfig::cambridge_default(),
-        }
+        SimConfig::mit_default()
     }
 }
 
@@ -154,7 +152,7 @@ pub const ALL_SCHEME_NAMES: &[&str] = &[
 ];
 
 /// Instantiates a scheme by its lineup name, or `None` for an unknown
-/// name (so callers can validate a sweep spec up front instead of
+/// name (so callers can validate a scenario's schemes up front instead of
 /// panicking mid-batch).
 #[must_use]
 pub fn try_scheme_by_name(name: &str) -> Option<Box<dyn Scheme + Send>> {

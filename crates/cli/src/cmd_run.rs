@@ -3,17 +3,13 @@
 use std::path::Path;
 
 use photodtn_bench::{try_scheme_by_name, ALL_SCHEME_NAMES};
-use photodtn_contacts::parse_trace;
-use photodtn_contacts::synth::{CommunityTraceGenerator, MetroTraceGenerator, TraceStyle};
 use photodtn_coverage::fullview::{redundancy_degrees, FullViewReport};
 use photodtn_coverage::PhotoMeta;
-use photodtn_sim::{
-    checkpoint, CheckpointPolicy, FaultConfig, JsonlSink, Scenario, SimConfig, Simulation,
-};
+use photodtn_sim::scenario::spec::{Document, Value};
+use photodtn_sim::scenario::SCENARIO_VERSION;
+use photodtn_sim::{checkpoint, CheckpointPolicy, JsonlSink, Scenario};
 
 use crate::args::{Flags, Spec};
-
-const GB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// Exit code of a gracefully interrupted checkpointed run (EX_TEMPFAIL:
 /// rerun with `--resume-from` to continue).
@@ -43,27 +39,31 @@ const SPEC: Spec = Spec {
     switches: &["report", "json", "perf", "trace-sync"],
 };
 
-/// The value flags that shape the simulated world; everything a snapshot
+/// The value flags that shape the simulated world, each with the
+/// scenario knob (`[section] key`) it spells; everything a snapshot
 /// fingerprint covers. Reproduced in error messages when a resume's
 /// flags disagree with the snapshot's.
-const WORLD_FLAGS: &[&str] = &[
-    "trace",
-    "style",
-    "hours",
-    "nodes",
-    "photos-per-hour",
-    "storage-gb",
-    "deadline",
-    "failures",
-    "faults",
+const WORLD_FLAGS: &[(&str, &str, &str)] = &[
+    ("trace", "world", "trace"),
+    ("style", "world", "style"),
+    ("hours", "world", "hours"),
+    ("nodes", "world", "nodes"),
+    ("photos-per-hour", "sim", "photos_per_hour"),
+    ("storage-gb", "sim", "storage_gb"),
+    ("deadline", "sim", "deadline_hours"),
+    ("failures", "sim", "failure_fraction"),
+    ("faults", "sim", "fault_intensity"),
 ];
 
 /// A canonical human-readable description of the run's world, embedded
 /// in snapshots so fingerprint mismatches can say what the snapshot was
 /// actually written for.
 fn describe_world(flags: &Flags, scheme: &str, seed: u64) -> String {
+    if let Some(path) = flags.get("scenario") {
+        return format!("photodtn run --scenario {path} --scheme {scheme} --seed {seed}");
+    }
     let mut out = format!("photodtn run --scheme {scheme} --seed {seed}");
-    for name in WORLD_FLAGS {
+    for (name, ..) in WORLD_FLAGS {
         if let Some(v) = flags.get(name) {
             out.push_str(&format!(" --{name} {v}"));
         }
@@ -71,16 +71,41 @@ fn describe_world(flags: &Flags, scheme: &str, seed: u64) -> String {
     out
 }
 
+/// Names a scenario knob the way the command line spells it.
+fn flag_spelling(section: &str, key: &str) -> String {
+    match WORLD_FLAGS.iter().find(|w| (w.1, w.2) == (section, key)) {
+        Some((flag, ..)) => format!("--{flag}"),
+        None => format!("[{section}] {key}"),
+    }
+}
+
+/// Lowers the world flags into the scenario they spell, through the
+/// checks of its `[world]` and `[sim]` sections.
+fn lower_flags(flags: &Flags) -> Result<Scenario, String> {
+    let version = [("version".to_string(), Value::Int(SCENARIO_VERSION))];
+    let mut doc = Document::from([("scenario".to_string(), version.into())]);
+    for &(flag, section, key) in WORLD_FLAGS {
+        let value = match (flag, flags.get(flag)) {
+            (_, None) => continue,
+            ("trace" | "style", Some(raw)) => Value::Str(raw.into()),
+            ("nodes", _) => Value::Int(flags.num(flag, 0)?),
+            _ => Value::Float(flags.num(flag, 0.0)?),
+        };
+        let table = doc.entry(section.into()).or_default();
+        table.insert(key.into(), value);
+    }
+    Scenario::from_document(doc, flag_spelling).map_err(|e| format!("run: {e}"))
+}
+
 pub fn run(argv: &[String]) -> Result<u8, String> {
     let flags = Flags::parse(argv, &SPEC)?;
 
-    // --scenario FILE: the whole world comes from a declarative TOML
-    // scenario; the world-shaping flags would silently fight it, so they
-    // are rejected outright. --scheme/--seed (and the run-mechanics
-    // flags: checkpoints, tracing) still compose.
+    // The world comes from a scenario file or from the flags that spell
+    // one; the two would silently fight, so they are exclusive.
+    // --scheme/--seed and the run-mechanics flags compose with both.
     let scenario = match flags.get("scenario") {
         Some(path) => {
-            for name in WORLD_FLAGS {
+            for (name, ..) in WORLD_FLAGS {
                 if flags.get(name).is_some() {
                     return Err(format!(
                         "run: --{name} conflicts with --scenario (declare it in the file)"
@@ -88,18 +113,17 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
                 }
             }
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Some(Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?)
+            Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?
         }
-        None => None,
+        None => lower_flags(&flags)?,
     };
 
-    let scheme_name = match (flags.get("scheme"), &scenario) {
-        (Some(name), _) => name,
+    let scheme_name = match flags.get("scheme") {
+        Some(name) => name,
         // `["all"]` names the whole lineup, as in `sweep`; one run takes
         // its first scheme.
-        (None, Some(sc)) if sc.schemes == ["all"] => ALL_SCHEME_NAMES[0],
-        (None, Some(sc)) => sc.schemes.first().map(String::as_str).unwrap_or("ours"),
-        (None, None) => "ours",
+        None if scenario.schemes == ["all"] => ALL_SCHEME_NAMES[0],
+        None => scenario.schemes.first().map_or("ours", String::as_str),
     };
     let mut scheme = try_scheme_by_name(scheme_name).ok_or_else(|| {
         format!(
@@ -107,72 +131,14 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
             ALL_SCHEME_NAMES.join(", ")
         )
     })?;
-    let default_seed = scenario.as_ref().map_or(1, |sc| sc.seed);
-    let seed: u64 = flags.num("seed", default_seed)?;
-
-    // the trace: a scenario world, a file, or a synthetic style
-    let trace = match (&scenario, flags.get("trace")) {
-        (Some(sc), _) => sc.build_trace(seed).map_err(|e| format!("run: {e}"))?,
-        (None, Some(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            parse_trace(&text).map_err(|e| e.to_string())?
-        }
-        (None, None) => match flags.get("style").unwrap_or("mit") {
-            "metro" => {
-                let mut gen = MetroTraceGenerator::new();
-                if flags.get("hours").is_some() {
-                    gen = gen.with_duration_hours(flags.num("hours", 0.0)?);
-                }
-                if flags.get("nodes").is_some() {
-                    gen = gen.with_num_nodes(flags.num("nodes", 0u32)?);
-                }
-                gen.generate(seed)
-            }
-            style => {
-                let style = match style {
-                    "mit" => TraceStyle::MitLike,
-                    "cambridge" => TraceStyle::CambridgeLike,
-                    other => return Err(format!("run: unknown style {other:?}")),
-                };
-                let mut gen = CommunityTraceGenerator::new(style);
-                if flags.get("hours").is_some() {
-                    gen = gen.with_duration_hours(flags.num("hours", 0.0)?);
-                }
-                if flags.get("nodes").is_some() {
-                    gen = gen.with_num_nodes(flags.num("nodes", 0u32)?);
-                }
-                gen.generate(seed)
-            }
-        },
-    };
-
-    let mut config = match &scenario {
-        Some(sc) => sc.base.clone(),
-        None => SimConfig::mit_default().with_photos_per_hour(flags.num("photos-per-hour", 250.0)?),
-    };
-    if flags.get("storage-gb").is_some() {
-        config = config.with_storage_bytes((flags.num("storage-gb", 0.6)? * GB) as u64);
-    }
-    if flags.get("deadline").is_some() {
-        config = config.with_deadline_hours(flags.num("deadline", 0.0)?);
-    }
-    if flags.get("failures").is_some() {
-        config = config.with_failure_fraction(flags.num("failures", 0.0)?);
-    }
-    // A scenario's [faults] intensity survives as the chaos preset's
-    // interrupt probability (0.5 × k); recover it for the summary line.
-    let mut fault_intensity: f64 = config.faults.contact_interrupt_prob * 2.0;
-    if flags.get("faults").is_some() {
-        fault_intensity = flags.num("faults", 0.0)?;
-        if !(0.0..=1.0).contains(&fault_intensity) {
-            return Err(format!(
-                "run: --faults must be an intensity in 0..=1, got {fault_intensity}"
-            ));
-        }
-        if fault_intensity > 0.0 {
-            config = config.with_faults(FaultConfig::chaos(fault_intensity));
-        }
-    }
+    let seed: u64 = flags.num("seed", scenario.seed)?;
+    let trace = scenario
+        .build_trace(seed)
+        .map_err(|e| format!("run: {e}"))?;
+    let config = &scenario.base;
+    // The chaos preset keeps the fault intensity as its interrupt
+    // probability (0.5 × k); recover it for the summary line.
+    let fault_intensity = config.faults.contact_interrupt_prob * 2.0;
 
     // --- checkpoint / resume flag-compatibility matrix ---
     let resume_dir = flags.get("resume-from");
@@ -197,29 +163,18 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
     // from, so a second interruption is also resumable.
     let ckpt_dir = resume_dir.or(ckpt_dir_flag);
 
-    let mut sim = match &scenario {
-        Some(sc) => sc
-            .build_simulation(&config, &trace, seed)
-            .map_err(|e| format!("run: {e}"))?,
-        None => Simulation::try_new(&config, &trace, seed).map_err(|e| format!("run: {e}"))?,
-    };
+    let mut sim = scenario
+        .build_simulation(config, &trace, seed)
+        .map_err(|e| format!("run: {e}"))?;
 
     // The fingerprint binds snapshots to this exact (config, trace,
     // seed, scheme) world; conflicting world flags on resume surface as
-    // a typed mismatch error from the loader, never a panic. Scenario
-    // worlds fold in the scenario text's fingerprint too — PoI weights
-    // and schedules live outside SimConfig, so two scenarios sharing a
-    // config must not cross-resume each other's snapshots.
-    let world = match (&scenario, flags.get("scenario")) {
-        (Some(_), Some(path)) => {
-            format!("photodtn run --scenario {path} --scheme {scheme_name} --seed {seed}")
-        }
-        _ => describe_world(&flags, scheme_name, seed),
-    };
-    let mut fingerprint = checkpoint::run_fingerprint(&config, &trace, seed, scheme_name);
-    if let Some(sc) = &scenario {
-        fingerprint ^= sc.fingerprint;
-    }
+    // a typed mismatch error from the loader, never a panic. A scenario
+    // file's text fingerprint is folded in too, because PoI weights and
+    // schedules live outside SimConfig; flags spell no text (0).
+    let world = describe_world(&flags, scheme_name, seed);
+    let fingerprint =
+        checkpoint::run_fingerprint(config, &trace, seed, scheme_name) ^ scenario.fingerprint;
 
     let resume_payload = match resume_dir {
         Some(dir) => {
@@ -363,37 +318,34 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
 
     if flags.has("json") {
         let f = result.final_sample();
+        let mut value = serde_json::json!({
+            "scheme": result.scheme,
+            "seed": seed,
+            "point_coverage": f.point_coverage,
+            "aspect_coverage_deg": f.aspect_coverage_deg,
+            "delivered_photos": f.delivered_photos,
+        });
+        let serde_json::Value::Object(obj) = &mut value else {
+            unreachable!("run JSON is an object");
+        };
         // Only emit the fault counters when injection is on, so zero-fault
         // output stays byte-compatible with earlier versions.
-        let mut value = if config.faults.is_noop() {
-            serde_json::json!({
-                "scheme": result.scheme,
-                "seed": seed,
-                "point_coverage": f.point_coverage,
-                "aspect_coverage_deg": f.aspect_coverage_deg,
-                "delivered_photos": f.delivered_photos,
-            })
-        } else {
-            serde_json::json!({
-                "scheme": result.scheme,
-                "seed": seed,
-                "point_coverage": f.point_coverage,
-                "aspect_coverage_deg": f.aspect_coverage_deg,
-                "delivered_photos": f.delivered_photos,
-                "fault_intensity": fault_intensity,
-                "contacts_interrupted": f.contacts_interrupted,
-                "transfers_lost": f.transfers_lost,
-                "transfers_corrupt": f.transfers_corrupt,
-                "node_crashes": f.node_crashes,
-                "uplinks_degraded": f.uplinks_degraded,
-            })
-        };
+        if !config.faults.is_noop() {
+            obj.insert("fault_intensity".into(), serde_json::json!(fault_intensity));
+            let counters = [
+                ("contacts_interrupted", f.contacts_interrupted),
+                ("transfers_lost", f.transfers_lost),
+                ("transfers_corrupt", f.transfers_corrupt),
+                ("node_crashes", f.node_crashes),
+                ("uplinks_degraded", f.uplinks_degraded),
+            ];
+            for (key, count) in counters {
+                obj.insert(key.into(), serde_json::json!(count));
+            }
+        }
         // Perf numbers are wall-clock (nondeterministic), so they join
         // the JSON only on request — default output stays byte-stable.
         if flags.has("perf") {
-            let serde_json::Value::Object(obj) = &mut value else {
-                unreachable!("run JSON is an object");
-            };
             obj.insert("cache_hits".into(), serde_json::json!(stats.cache.hits));
             obj.insert("cache_misses".into(), serde_json::json!(stats.cache.misses));
             obj.insert(
@@ -417,7 +369,19 @@ pub fn run(argv: &[String]) -> Result<u8, String> {
 
 #[cfg(test)]
 mod tests {
+    use photodtn_contacts::synth::{CommunityTraceGenerator, MetroTraceGenerator, TraceStyle::*};
+    use photodtn_contacts::{parse_trace, write_trace};
+    use photodtn_sim::{FaultConfig, SimConfig};
+
     use super::*;
+
+    const EACH_KNOB: &str = "--scheme spray-wait --style mit --nodes 8 --hours 6 \
+        --photos-per-hour 10 --storage-gb 0.1 --deadline 5 --failures 0.2 --seed 2";
+    const METRO: &str = "--style metro --nodes 300 --hours 1 --photos-per-hour 50 --seed 2";
+    const SMALL: &str = "--style mit --nodes 6 --hours 2";
+    const FAULTED: &str =
+        "--style mit --nodes 8 --hours 6 --photos-per-hour 10 --faults 0.6 --seed 3";
+    const WORLD: &str = "--style mit --nodes 8 --hours 6 --photos-per-hour 10 --seed 2";
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -425,48 +389,94 @@ mod tests {
 
     #[test]
     fn small_run_each_knob() {
-        run(&argv(
-            "--scheme spray-wait --style mit --nodes 8 --hours 6 --photos-per-hour 10 \
-             --storage-gb 0.1 --deadline 5 --failures 0.2 --seed 2 --report --json --perf",
-        ))
-        .unwrap();
+        run(&argv(&format!("{EACH_KNOB} --report --json --perf"))).unwrap();
     }
 
     #[test]
     fn metro_style_run() {
-        run(&argv(
-            "--scheme ours --style metro --nodes 300 --hours 1 --photos-per-hour 50 \
-             --seed 2 --json --perf",
-        ))
-        .unwrap();
+        run(&argv(&format!("--scheme ours {METRO} --json --perf"))).unwrap();
     }
 
     #[test]
     fn unknown_scheme_is_a_typed_error() {
-        let err = run(&argv("--scheme bogus --style mit --nodes 6 --hours 2")).unwrap_err();
+        let err = run(&argv(&format!("--scheme bogus {SMALL}"))).unwrap_err();
         assert!(err.contains("unknown scheme \"bogus\""), "{err}");
         let known = format!("(known: {})", ALL_SCHEME_NAMES.join(", "));
         assert!(err.contains(&known), "{err}");
     }
 
     #[test]
-    fn bad_trace_file() {
-        assert!(run(&argv("--trace /nonexistent.trace")).is_err());
-    }
-
-    #[test]
     fn faulted_run_emits_counters() {
-        run(&argv(
-            "--scheme ours --style mit --nodes 8 --hours 6 --photos-per-hour 10 \
-             --faults 0.6 --seed 3 --json",
-        ))
-        .unwrap();
+        run(&argv(&format!("--scheme ours {FAULTED} --json"))).unwrap();
     }
 
+    /// World flags go through the `[world]` and `[sim]` checks: a bad or
+    /// degenerate world is a typed error naming the flag, never a panic
+    /// or a silent run.
     #[test]
-    fn faults_out_of_range_rejected() {
-        let err = run(&argv("--style mit --nodes 6 --hours 2 --faults 1.5")).unwrap_err();
-        assert!(err.contains("--faults"), "{err}");
+    fn bad_world_flags_are_typed_errors() {
+        let empty = tmp_dir("empty").join("empty.trace");
+        std::fs::write(&empty, "# a trace with no contacts\n").unwrap();
+        let empty = format!("--trace {}", empty.display());
+        for (spelling, needle) in [
+            ("--trace /nonexistent.trace", "/nonexistent.trace"),
+            (&empty, "no nodes"),
+            ("--style mit --nodes 6 --hours 2 --faults 1.5", "--faults"),
+            ("--hours 0", "--hours"),
+            ("--hours -3", "--hours"),
+            ("--nodes 0", "--nodes"),
+            ("--style metro --hours -1", "--hours"),
+        ] {
+            let err = run(&argv(spelling)).unwrap_err();
+            assert!(err.starts_with("run: "), "{spelling}: {err}");
+            assert!(err.contains(needle), "{spelling}: {err}");
+        }
+    }
+
+    /// Every world above, the defaults, another style and a trace file
+    /// lower to the (config, trace) pair flag runs used to build by hand,
+    /// with no text fingerprint: their checkpoint fingerprints hold.
+    #[test]
+    fn flag_lowering_matches_hand_built_worlds() {
+        let gen = |style, nodes, hours, seed| {
+            CommunityTraceGenerator::new(style)
+                .with_num_nodes(nodes)
+                .with_duration_hours(hours)
+                .generate(seed)
+        };
+        let base = SimConfig::mit_default;
+        let rate = |r| base().with_photos_per_hour(r);
+        let knobs = rate(10.0)
+            .with_storage_bytes((0.1 * 1024.0 * 1024.0 * 1024.0) as u64)
+            .with_deadline_hours(5.0)
+            .with_failure_fraction(0.2);
+        let faulted = rate(10.0).with_faults(FaultConfig::chaos(0.6));
+        let metro = MetroTraceGenerator::new()
+            .with_num_nodes(300)
+            .with_duration_hours(1.0);
+        let default = CommunityTraceGenerator::new(MitLike).generate(1);
+        let cambridge = "--style cambridge --nodes 8 --hours 6";
+        let file = tmp_dir("lowering").join("world.trace");
+        std::fs::write(&file, write_trace(&gen(MitLike, 6, 3.0, 5))).unwrap();
+        let from_file = parse_trace(&std::fs::read_to_string(&file).unwrap()).unwrap();
+        let trace_flag = format!("--trace {}", file.display());
+        let cases = [
+            ("", default, base()),
+            (EACH_KNOB, gen(MitLike, 8, 6.0, 2), knobs),
+            (METRO, metro.generate(2), rate(50.0)),
+            (SMALL, gen(MitLike, 6, 2.0, 1), base()),
+            (FAULTED, gen(MitLike, 8, 6.0, 3), faulted),
+            (WORLD, gen(MitLike, 8, 6.0, 2), rate(10.0)),
+            (cambridge, gen(CambridgeLike, 8, 6.0, 1), base()),
+            (&trace_flag, from_file, base()),
+        ];
+        for (spelling, trace, config) in cases {
+            let flags = Flags::parse(&argv(spelling), &SPEC).unwrap();
+            let sc = lower_flags(&flags).unwrap();
+            let seed = flags.num("seed", sc.seed).unwrap();
+            assert_eq!((&sc.base, sc.fingerprint), (&config, 0), "{spelling}");
+            assert_eq!(sc.build_trace(seed).unwrap(), trace, "{spelling}");
+        }
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -530,8 +540,7 @@ mod tests {
         let dir = tmp_dir("flag-matrix");
         let ckpt = dir.join("ckpt");
         let ckpt = ckpt.to_str().unwrap();
-        let world =
-            "--scheme best-possible --style mit --nodes 8 --hours 6 --photos-per-hour 10 --seed 2";
+        let world = format!("--scheme best-possible {WORLD}");
 
         // Dependent flags without a directory: rejected.
         for dependent in [
@@ -562,16 +571,5 @@ mod tests {
         let resumed = format!("{world} --resume-from {ckpt}");
         assert_eq!(run(&argv(&resumed)).unwrap(), 0, "{resumed}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_trace_is_a_clean_error_not_a_panic() {
-        let dir = std::env::temp_dir().join("photodtn-run-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.trace");
-        std::fs::write(&path, "# a trace with no contacts\n").unwrap();
-        let err = run(&["--trace".into(), path.to_str().unwrap().into()]).unwrap_err();
-        assert!(err.contains("no nodes"), "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 }

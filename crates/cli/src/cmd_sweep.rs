@@ -1,6 +1,7 @@
-//! `photodtn sweep` — crash-tolerant batch runs over a TOML grid spec.
+//! `photodtn sweep` — crash-tolerant batch runs over a scenario's grid.
 //!
-//! The subcommand fans a (scheme × config-variant × seed) grid across the
+//! The subcommand fans a scenario's (scheme × config-variant × seed)
+//! grid ([`Scenario::plan`]) across the
 //! supervisor ([`photodtn_sim::supervisor`]): panicking cells are
 //! isolated, hung cells hit the `--cell-deadline` watchdog, transient
 //! trace-IO failures retry with backoff, and every resolved cell is
@@ -22,12 +23,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use photodtn_bench::{try_scheme_by_name, ALL_SCHEME_NAMES};
-use photodtn_contacts::ContactTrace;
 use photodtn_sim::supervisor::journal;
-use photodtn_sim::supervisor::spec::{SweepPlan, SweepSpec};
 use photodtn_sim::{
     checkpoint, run_batch, BatchPolicy, BatchReport, CellError, CellFailure, CellId, CellState,
-    CheckpointPolicy, Scenario, ScenarioPlan, SimConfig, SimResult, Simulation,
+    CheckpointPolicy, Scenario, SimResult,
 };
 
 use crate::args::{Flags, Spec};
@@ -53,57 +52,6 @@ const SPEC: Spec = Spec {
     ],
     switches: &["resume", "sync", "quiet"],
 };
-
-/// One grid to execute — either a classic sweep spec or a declarative
-/// scenario ([`Scenario`]), distinguished by the file's sections. Both
-/// expand into the same (scheme × variant × seed) cell list; only the
-/// per-cell world construction differs.
-enum Plan {
-    Sweep(SweepPlan),
-    Scenario(Box<ScenarioPlan>),
-}
-
-impl Plan {
-    fn fingerprint(&self) -> u64 {
-        match self {
-            Plan::Sweep(p) => p.fingerprint,
-            Plan::Scenario(p) => p.fingerprint,
-        }
-    }
-
-    fn cells(&self) -> &[CellId] {
-        match self {
-            Plan::Sweep(p) => &p.cells,
-            Plan::Scenario(p) => &p.cells,
-        }
-    }
-
-    fn config_of(&self, variant: &str) -> Option<&SimConfig> {
-        match self {
-            Plan::Sweep(p) => p.config_of(variant),
-            Plan::Scenario(p) => p.config_of(variant),
-        }
-    }
-
-    fn build_trace(&self, seed: u64) -> Result<ContactTrace, CellError> {
-        match self {
-            Plan::Sweep(p) => p.build_trace(seed),
-            Plan::Scenario(p) => p.build_trace(seed),
-        }
-    }
-
-    /// Builds one cell's world. Panics on an unbuildable world (like
-    /// `Simulation::new`); the supervisor's catch_unwind classifies that
-    /// as a deterministic failure.
-    fn build_simulation(&self, config: &SimConfig, trace: &ContactTrace, seed: u64) -> Simulation {
-        match self {
-            Plan::Sweep(_) => Simulation::new(config, trace, seed),
-            Plan::Scenario(p) => p
-                .build_simulation(config, trace, seed)
-                .unwrap_or_else(|e| panic!("building scenario world: {e}")),
-        }
-    }
-}
 
 /// The per-cell snapshot directory name: the cell id with filesystem-
 /// hostile characters replaced, so every cell maps to a distinct,
@@ -133,23 +81,11 @@ pub fn run(argv: &[String]) -> u8 {
     }
 }
 
-fn validate_schemes(spec_path: &str, schemes: &[String]) -> Result<(), String> {
-    for scheme in schemes {
-        if try_scheme_by_name(scheme).is_none() {
-            return Err(format!(
-                "{spec_path}: unknown scheme {scheme:?} (known: {})",
-                ALL_SCHEME_NAMES.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn execute(argv: &[String]) -> Result<u8, String> {
     let flags = Flags::parse(argv, &SPEC)?;
     let [spec_path] = flags.positionals() else {
         return Err(
-            "usage: photodtn sweep SPEC.toml [--out FILE] [--journal FILE] [--resume] \
+            "usage: photodtn sweep SCENARIO.toml [--out FILE] [--journal FILE] [--resume] \
              [--workers N] [--cell-deadline SECS] [--retries N] [--backoff-ms MS] \
              [--cell-checkpoint SIMSECS] [--sync] [--quiet]"
                 .into(),
@@ -157,19 +93,19 @@ fn execute(argv: &[String]) -> Result<u8, String> {
     };
     let text =
         std::fs::read_to_string(spec_path).map_err(|e| format!("reading {spec_path}: {e}"))?;
-    // One flag, two formats: a [scenario] document or a [sweep] grid.
-    let plan = if Scenario::is_scenario_text(&text) {
-        let mut sc = Scenario::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-        if sc.schemes == ["all"] {
-            sc.schemes = ALL_SCHEME_NAMES.iter().map(|s| (*s).to_string()).collect();
+    let mut scenario = Scenario::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
+    if scenario.schemes == ["all"] {
+        scenario.schemes = ALL_SCHEME_NAMES.iter().map(|s| (*s).to_string()).collect();
+    }
+    for scheme in &scenario.schemes {
+        if try_scheme_by_name(scheme).is_none() {
+            return Err(format!(
+                "{spec_path}: unknown scheme {scheme:?} (known: {})",
+                ALL_SCHEME_NAMES.join(", ")
+            ));
         }
-        validate_schemes(spec_path, &sc.schemes)?;
-        Plan::Scenario(Box::new(sc.plan()))
-    } else {
-        let sweep = SweepSpec::parse(&text).map_err(|e| format!("{spec_path}: {e}"))?;
-        validate_schemes(spec_path, &sweep.schemes)?;
-        Plan::Sweep(sweep.plan())
-    };
+    }
+    let plan = scenario.plan();
 
     let journal_path: PathBuf = flags
         .get("journal")
@@ -210,7 +146,7 @@ fn execute(argv: &[String]) -> Result<u8, String> {
 
     // Journal: fresh, or resumed (healing a torn tail atomically).
     let (done, mut journal) = if flags.has("resume") {
-        let state = journal::load(&journal_path, plan.fingerprint())
+        let state = journal::load(&journal_path, plan.fingerprint)
             .map_err(|e| format!("resume from {}: {e}", journal_path.display()))?;
         if state.torn_tail {
             eprintln!("sweep: dropped a torn journal tail (that cell will rerun)");
@@ -221,8 +157,8 @@ fn execute(argv: &[String]) -> Result<u8, String> {
     } else {
         let journal = journal::Journal::create(
             &journal_path,
-            plan.fingerprint(),
-            plan.cells().len() as u64,
+            plan.fingerprint,
+            plan.cells.len() as u64,
             sync,
         )
         .map_err(|e| format!("creating {}: {e}", journal_path.display()))?;
@@ -230,14 +166,14 @@ fn execute(argv: &[String]) -> Result<u8, String> {
     };
 
     let remaining: Vec<CellId> = plan
-        .cells()
+        .cells
         .iter()
         .filter(|c| !done.contains_key(*c))
         .cloned()
         .collect();
     eprintln!(
         "sweep: {} cells ({} journaled, {} to run), journal at {}",
-        plan.cells().len(),
+        plan.cells.len(),
         done.len(),
         remaining.len(),
         journal_path.display()
@@ -253,12 +189,15 @@ fn execute(argv: &[String]) -> Result<u8, String> {
                 .config_of(&cell.variant)
                 .expect("cells only name variants from the plan")
                 .clone();
-            let trace = plan.build_trace(cell.seed)?;
+            let trace = plan.scenario().build_trace(cell.seed)?;
             let mut scheme =
                 try_scheme_by_name(&cell.scheme).expect("schemes validated before the batch");
             // World building panics on a bad world; the supervisor's
             // catch_unwind classifies that as a deterministic failure.
-            let mut sim = plan.build_simulation(&config, &trace, cell.seed);
+            let mut sim = plan
+                .scenario()
+                .build_simulation(&config, &trace, cell.seed)
+                .unwrap_or_else(|e| panic!("building scenario world: {e}"));
             let Some(every) = cell_checkpoint else {
                 return Ok(sim.run(&mut scheme));
             };
@@ -269,13 +208,11 @@ fn execute(argv: &[String]) -> Result<u8, String> {
             // one behind. Any load failure degrades to a clean start —
             // a sweep cell must never be wedged by a stale snapshot.
             let dir = ckpt_root.join(cell_dir_name(cell));
-            // Scenario worlds fold the scenario text's fingerprint in:
-            // PoI weights and schedules live outside SimConfig, so two
-            // scenarios sharing a config must not cross-resume.
-            let mut fp = checkpoint::run_fingerprint(&config, &trace, cell.seed, &cell.scheme);
-            if let Plan::Scenario(_) = &*plan {
-                fp ^= plan.fingerprint();
-            }
+            // The scenario text's fingerprint is folded in: PoI weights
+            // and schedules live outside SimConfig, so two scenarios
+            // sharing a config must not cross-resume.
+            let fp = checkpoint::run_fingerprint(&config, &trace, cell.seed, &cell.scheme)
+                ^ plan.fingerprint;
             match checkpoint::load_latest(&dir, Some(fp)) {
                 Ok((payload, path)) => match sim.resume_from(payload, &scheme) {
                     Ok(()) => eprintln!("sweep: {cell} resumes from {}", path.display()),
@@ -462,12 +399,15 @@ mod tests {
     fn bad_spec_exits_2_without_running() {
         let dir = tmp_dir();
         let spec = dir.join("bad.toml");
+        // The retired [sweep] format is an unknown section, not a sweep.
         std::fs::write(
             &spec,
             "[sweep]\nschemes = [\"no-such-scheme\"]\nseeds = [1]\n",
         )
         .unwrap();
         assert_eq!(run(&[spec.to_str().unwrap().into()]), EXIT_BAD_SPEC);
+        let err = execute(&[spec.to_str().unwrap().into()]).unwrap_err();
+        assert!(err.contains("unknown section [sweep]"), "{err}");
         let syntactically_bad = dir.join("syntax.toml");
         std::fs::write(&syntactically_bad, "[sweep\nschemes = 1\n").unwrap();
         assert_eq!(
@@ -487,8 +427,8 @@ mod tests {
         let spec = dir.join("ok.toml");
         std::fs::write(
             &spec,
-            "[sweep]\nschemes = [\"best-possible\"]\nseeds = [1, 2]\n\
-             [trace]\nnodes = 8\nhours = 6.0\n[config]\nphotos_per_hour = 10.0\n",
+            "[scenario]\nversion = 1\nseeds = [1, 2]\n[world]\nnodes = 8\nhours = 6.0\n\
+             [workload]\nphotos_per_hour = 10.0\n[schemes]\nnames = [\"best-possible\"]\n",
         )
         .unwrap();
         let out = dir.join("report.json");
@@ -619,22 +559,6 @@ mod tests {
         assert_eq!(run(&[spec.to_str().unwrap().into()]), EXIT_BAD_SPEC);
     }
 
-    #[test]
-    fn shipped_example_spec_parses_and_plans() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/sweep.toml");
-        let text = std::fs::read_to_string(path).expect("examples/sweep.toml readable");
-        let spec = SweepSpec::parse(&text).expect("examples/sweep.toml parses");
-        for scheme in &spec.schemes {
-            assert!(
-                photodtn_bench::try_scheme_by_name(scheme).is_some(),
-                "example spec names unknown scheme {scheme:?}"
-            );
-        }
-        let plan = spec.plan();
-        // 4 schemes x 3 storage variants x 3 seeds.
-        assert_eq!(plan.cells.len(), 36);
-    }
-
     /// Every shipped example scenario parses, names only known schemes,
     /// plans, and builds its world end-to-end (trace + simulation for the
     /// first cell) — the files in examples/scenarios/ are living docs and
@@ -650,7 +574,6 @@ mod tests {
             }
             seen += 1;
             let text = std::fs::read_to_string(&path).unwrap();
-            assert!(Scenario::is_scenario_text(&text), "{path:?} not a scenario");
             let mut sc = Scenario::parse(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
             if sc.schemes == ["all"] {
                 sc.schemes = ALL_SCHEME_NAMES.iter().map(|s| (*s).to_string()).collect();
@@ -665,13 +588,13 @@ mod tests {
             assert!(!plan.cells.is_empty(), "{path:?} plans no cells");
             let cell = &plan.cells[0];
             let config = plan.config_of(&cell.variant).unwrap();
-            let trace = plan
+            let trace = sc
                 .build_trace(cell.seed)
                 .unwrap_or_else(|e| panic!("{path:?}: building trace: {e}"));
             assert!(!trace.is_empty(), "{path:?} generates a contactless world");
-            plan.build_simulation(config, &trace, cell.seed)
+            sc.build_simulation(config, &trace, cell.seed)
                 .unwrap_or_else(|e| panic!("{path:?}: building world: {e}"));
         }
-        assert!(seen >= 3, "expected the shipped scenario set, saw {seen}");
+        assert!(seen >= 4, "expected the shipped scenario set, saw {seen}");
     }
 }

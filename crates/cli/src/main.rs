@@ -76,8 +76,9 @@ USAGE:
       statistics and the exponential fit behind the metadata-validity
       model.
 
-  photodtn run [--scenario FILE | --trace FILE | --style mit|cambridge]
-               [--scheme NAME] [--seed N] [--hours H]
+  photodtn run [--scenario FILE | --trace FILE |
+                --style mit|cambridge|metro|waypoint]
+               [--scheme NAME] [--seed N] [--nodes N] [--hours H]
                [--photos-per-hour R] [--storage-gb G] [--deadline H]
                [--failures F] [--faults K] [--trace-out FILE]
                [--report] [--json]
@@ -90,10 +91,11 @@ USAGE:
       relays, PoI layout and importance schedule, workload, fault
       plan — from a declarative TOML scenario (see
       examples/scenarios/); the world-shaping flags then live in the
-      file and conflict with their CLI spellings. --scheme and
-      --seed still override the scenario's defaults, and the
-      run-mechanics flags (checkpoints, --trace-out) compose as
-      usual.
+      file and conflict with their CLI spellings. Without a file,
+      the world flags spell a scenario themselves and pass the same
+      checks as its [world] and [sim] sections. --scheme and --seed
+      still override the scenario's defaults, and the run-mechanics
+      flags (checkpoints, --trace-out) compose as usual.
       --report adds a full-view analysis of the delivered photos.
       --faults K enables deterministic fault injection at chaos
       intensity K in 0..=1 (contact interruptions, transfer loss and
@@ -118,7 +120,7 @@ USAGE:
       per-node and per-contact-pair tables, and latency /
       buffer-occupancy histograms.
 
-  photodtn sweep SPEC.toml [--out FILE] [--journal FILE] [--resume]
+  photodtn sweep SCENARIO.toml [--out FILE] [--journal FILE] [--resume]
                  [--workers N] [--cell-deadline SECS] [--retries N]
                  [--backoff-ms MS] [--cell-checkpoint SIMSECS]
                  [--sync] [--quiet]
@@ -133,9 +135,9 @@ USAGE:
       simulated seconds under {journal}.ckpt/, so retried or rerun
       cells resume mid-run instead of starting over. Exit codes: 0
       all cells ok, 2 bad spec, 3 partial failure, 4 total failure.
-      SPEC.toml is either a classic [sweep] grid (examples/sweep.toml)
-      or a [scenario] world (examples/scenarios/) — a scenario sweeps
-      its [schemes] names over its [grid] axes and seeds.
+      SCENARIO.toml is a [scenario] world (examples/scenarios/, e.g.
+      storage_sweep.toml); the sweep runs its [schemes] names over
+      its [grid] axes and seeds.
 
   photodtn demo [--seed N]
       Run the paper's \u{a7}IV-B prototype demo (Fig. 3) with our scheme,

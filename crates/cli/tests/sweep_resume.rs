@@ -8,17 +8,20 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const SPEC_TEXT: &str = "\
-[sweep]
-schemes = [\"best-possible\", \"spray-wait\"]
+[scenario]
+version = 1
 seeds = [1, 2, 3]
 
-[trace]
+[world]
 style = \"mit\"
 nodes = 10
 hours = 12.0
 
-[config]
+[workload]
 photos_per_hour = 20.0
+
+[schemes]
+names = [\"best-possible\", \"spray-wait\"]
 ";
 
 fn bin() -> Command {
@@ -180,8 +183,9 @@ fn unreadable_trace_file_is_total_failure_with_exit_4() {
     let spec = dir.join("sweep.toml");
     std::fs::write(
         &spec,
-        "[sweep]\nschemes = [\"best-possible\"]\nseeds = [1, 2]\n\
-         [trace]\nfile = \"/nonexistent/contacts.trace\"\n",
+        "[scenario]\nversion = 1\nseeds = [1, 2]\n\
+         [world]\ntrace = \"/nonexistent/contacts.trace\"\n\
+         [schemes]\nnames = [\"best-possible\"]\n",
     )
     .unwrap();
     let out = dir.join("report.json");
@@ -203,14 +207,28 @@ fn unreadable_trace_file_is_total_failure_with_exit_4() {
 fn bad_spec_exits_2_and_writes_nothing() {
     let dir = tmp_dir("badspec");
     let spec = dir.join("sweep.toml");
-    std::fs::write(&spec, "[sweep]\nschemes = [\"nope\"]\nseeds = [1]\n").unwrap();
     let out = dir.join("report.json");
     let journal = dir.join("sweep.journal");
-    let output = bin()
-        .args(sweep_args(&spec, &out, &journal))
-        .output()
-        .unwrap();
-    assert_eq!(output.status.code(), Some(2), "{output:?}");
-    assert!(!out.exists(), "no report on a bad spec");
-    assert!(!journal.exists(), "no journal on a bad spec");
+    for (text, needle) in [
+        (
+            "[scenario]\nversion = 1\n[schemes]\nnames = [\"nope\"]\n",
+            "unknown scheme",
+        ),
+        // The retired [sweep] format.
+        (
+            "[sweep]\nschemes = [\"ours\"]\nseeds = [1]\n",
+            "unknown section [sweep]",
+        ),
+    ] {
+        std::fs::write(&spec, text).unwrap();
+        let output = bin()
+            .args(sweep_args(&spec, &out, &journal))
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(needle), "{stderr}");
+        assert!(!out.exists(), "no report on a bad spec");
+        assert!(!journal.exists(), "no journal on a bad spec");
+    }
 }

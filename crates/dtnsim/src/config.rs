@@ -89,7 +89,8 @@ fn default_coverage_cache_capacity() -> usize {
 }
 
 impl SimConfig {
-    /// Table I defaults for the MIT-like scenario.
+    /// Table I defaults. The MIT-like and Cambridge-like worlds share
+    /// them; the trace supplies the node count and the duration.
     #[must_use]
     pub fn mit_default() -> Self {
         SimConfig {
@@ -115,13 +116,6 @@ impl SimConfig {
             coverage_cache_capacity: default_coverage_cache_capacity(),
             camera_nodes: None,
         }
-    }
-
-    /// Table I defaults for the Cambridge-like scenario (identical except
-    /// the trace supplies fewer nodes / a shorter window).
-    #[must_use]
-    pub fn cambridge_default() -> Self {
-        Self::mit_default()
     }
 
     /// Overrides per-node storage, bytes (builder-style).

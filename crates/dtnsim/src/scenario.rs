@@ -1,21 +1,20 @@
-//! Declarative scenario engine: a versioned TOML schema describing a
-//! complete simulated world — topology, mobility, PoI layout and
-//! importance schedule, photo workload, and fault plan — compiled into
-//! the existing [`SimConfig`]/[`Simulation`] machinery.
+//! Declarative scenario engine: the one in-memory description of a
+//! simulated world — topology, mobility, PoI layout and importance
+//! schedule, photo workload, and fault plan — and the only code that
+//! turns one into a trace ([`Scenario::build_trace`]) and a
+//! [`Simulation`] ([`Scenario::build_simulation`]).
 //!
-//! A scenario is the single-file answer to "what experiment is this?":
-//! instead of a shell line of CLI flags, the world lives in a reviewable,
-//! diffable TOML document that `photodtn run --scenario` executes
-//! directly and `photodtn sweep` expands into a (scheme × variant ×
-//! seed) cell grid. A scenario that only restates CLI-expressible knobs
-//! produces **byte-identical** results to the equivalent flag spelling —
-//! the compiler targets the same `SimConfig`, the same trace generators,
-//! and the same run seed plumbing, adding nothing to the event schedule.
+//! Every front end lowers its spelling of a world through
+//! [`Scenario::from_document`] and its checks: `photodtn run --scenario`,
+//! `photodtn sweep` and `dump_results --scenario` read a versioned TOML
+//! file, and `photodtn run`'s world flags fill the `[world]` and `[sim]`
+//! sections. `photodtn sweep` expands a scenario into a (scheme ×
+//! variant × seed) cell grid.
 //!
-//! The parser is the strict TOML subset from [`supervisor::spec`]
-//! (sections, `key = value`, scalars, flat arrays, dotted section
-//! names), with the same ethos: unknown sections and keys are errors,
-//! duplicates are typed errors carrying both line numbers.
+//! The parser is the strict TOML subset from [`spec`] (sections,
+//! `key = value`, scalars, flat arrays, dotted section names): unknown
+//! sections and keys are errors, duplicates are typed errors carrying
+//! both line numbers.
 //!
 //! ```toml
 //! [scenario]
@@ -61,11 +60,14 @@ use photodtn_contacts::synth::{
 use photodtn_contacts::ContactTrace;
 use photodtn_coverage::{Poi, PoiList};
 
-use crate::supervisor::journal::fingerprint;
-use crate::supervisor::spec::{
+pub mod spec;
+
+use spec::{
     apply_config, expand_grid, parse_grid, parse_toml, reject_unknown, take_int_array, take_string,
-    take_string_array, SpecError, Value, CONFIG_KEYS,
+    take_string_array, Document, SpecError, Value, CONFIG_KEYS,
 };
+
+use crate::supervisor::journal::fingerprint;
 use crate::supervisor::{CellError, CellId};
 use crate::{SimBuildError, SimConfig, Simulation};
 
@@ -139,7 +141,7 @@ pub struct PoiPhase {
 /// The `[pois]` section plus its `[pois.phase_N]` schedule.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PoiSpec {
-    /// PoI count override (defaults to the style's config default).
+    /// PoI count override (defaults to Table I's).
     pub count: Option<u32>,
     /// Explicit initial weights, one per PoI (geometry stays the
     /// engine's seeded placement; only importance is declared).
@@ -169,20 +171,13 @@ pub struct Scenario {
     pub base: SimConfig,
     /// Grid axes: key → values (cross product forms the variants).
     pub grid: BTreeMap<String, Vec<f64>>,
-    /// FNV-1a fingerprint of the raw scenario text (journal binding).
+    /// FNV-1a fingerprint of the raw scenario text (journal binding); 0
+    /// for a scenario that has no text, such as one spelled by flags.
     pub fingerprint: u64,
 }
 
 impl Scenario {
-    /// Whether a TOML document looks like a scenario (has a
-    /// `[scenario]` section) rather than a sweep spec — used by the CLI
-    /// to accept either format under one flag.
-    #[must_use]
-    pub fn is_scenario_text(text: &str) -> bool {
-        parse_toml(text).is_ok_and(|doc| doc.contains_key("scenario"))
-    }
-
-    /// Parses and validates a scenario.
+    /// Parses and validates a scenario file.
     ///
     /// # Errors
     ///
@@ -190,18 +185,38 @@ impl Scenario {
     /// version, unknown sections/keys, type mismatches, out-of-range
     /// values, or a knob declared in two sections at once.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
-        let mut doc = parse_toml(text)?;
-        for section in doc.keys() {
-            let known = matches!(
-                section.as_str(),
-                "scenario" | "world" | "pois" | "workload" | "faults" | "schemes" | "sim" | "grid"
-            ) || is_phase_section(section);
-            if !known {
-                return Err(SpecError::global(format!(
-                    "unknown section [{section}] (expected scenario/world/pois/pois.phase_N/\
-                     workload/faults/schemes/sim/grid)"
-                )));
-            }
+        let (doc, header_lines) = parse_toml(text)?;
+        // Name the file's first unknown section, at its line.
+        let unknown = header_lines
+            .iter()
+            .filter(|(name, _)| !is_known_section(name));
+        if let Some((name, &line)) = unknown.min_by_key(|&(_, &line)| line) {
+            return Err(SpecError {
+                line,
+                ..unknown_section(name)
+            });
+        }
+        let mut scenario = Self::from_document(doc, |section, key| format!("[{section}] {key}"))?;
+        scenario.fingerprint = fingerprint(text);
+        Ok(scenario)
+    }
+
+    /// Validates a parsed document and lowers it into a scenario. Every
+    /// spelling of a world comes through here: [`parse`](Self::parse)
+    /// passes a file, `photodtn run` a document its world flags fill.
+    /// `spell(section, key)` names a `[world]` or `[sim]` knob in error
+    /// messages the way its author wrote it (`[world] hours`, `--hours`).
+    /// The scenario has no text, so its fingerprint is 0.
+    ///
+    /// # Errors
+    ///
+    /// As for [`parse`](Self::parse), minus syntax errors.
+    pub fn from_document(
+        mut doc: Document,
+        spell: fn(&str, &str) -> String,
+    ) -> Result<Self, SpecError> {
+        if let Some(name) = doc.keys().find(|name| !is_known_section(name)) {
+            return Err(unknown_section(name));
         }
 
         // --- [scenario] ---
@@ -248,6 +263,7 @@ impl Scenario {
 
         // --- [world] ---
         let mut world_tbl = doc.remove("world").unwrap_or_default();
+        let world_key = |key: &str| spell("world", key);
         let take_pos_f64 =
             |tbl: &mut BTreeMap<String, Value>, key: &str| -> Result<Option<f64>, SpecError> {
                 match tbl.remove(key) {
@@ -255,7 +271,8 @@ impl Scenario {
                     Some(v) => {
                         let f = v.as_f64().ok_or_else(|| {
                             SpecError::global(format!(
-                                "[world] {key} must be a number, got {}",
+                                "{} must be a number, got {}",
+                                world_key(key),
                                 v.type_name()
                             ))
                         })?;
@@ -263,7 +280,8 @@ impl Scenario {
                             Ok(Some(f))
                         } else {
                             Err(SpecError::global(format!(
-                                "[world] {key} must be positive, got {f}"
+                                "{} must be positive, got {f}",
+                                world_key(key)
                             )))
                         }
                     }
@@ -275,21 +293,18 @@ impl Scenario {
                     None => Ok(None),
                     Some(Value::Int(n)) if n > 0 && n <= i64::from(u32::MAX) => Ok(Some(n as u32)),
                     Some(v) => Err(SpecError::global(format!(
-                        "[world] {key} must be a positive integer, got {v:?}"
+                        "{} must be a positive integer, got {v:?}",
+                        world_key(key)
                     ))),
                 }
             };
-        let style_name = take_string(&mut world_tbl, "style")?;
         let source = if let Some(file) = take_string(&mut world_tbl, "trace")? {
-            if style_name.is_some() {
-                return Err(SpecError::global(
-                    "[world] trace = ... conflicts with style",
-                ));
-            }
-            for key in ["nodes", "hours", "grid", "region"] {
+            for key in ["style", "nodes", "hours", "grid", "region"] {
                 if world_tbl.contains_key(key) {
                     return Err(SpecError::global(format!(
-                        "[world] trace = ... conflicts with {key}"
+                        "{} conflicts with {}",
+                        world_key("trace"),
+                        world_key(key)
                     )));
                 }
             }
@@ -297,7 +312,7 @@ impl Scenario {
         } else {
             let nodes = take_pos_u32(&mut world_tbl, "nodes")?;
             let hours = take_pos_f64(&mut world_tbl, "hours")?;
-            match style_name.as_deref() {
+            match take_string(&mut world_tbl, "style")?.as_deref() {
                 None | Some("mit") => WorldSource::Community {
                     style: TraceStyle::MitLike,
                     nodes,
@@ -316,9 +331,10 @@ impl Scenario {
                 Some("waypoint") => {
                     let nodes = nodes.unwrap_or(20);
                     if nodes < 2 {
-                        return Err(SpecError::global(
-                            "[world] waypoint needs nodes >= 2".to_string(),
-                        ));
+                        return Err(SpecError::global(format!(
+                            "waypoint needs {} >= 2",
+                            world_key("nodes")
+                        )));
                     }
                     WorldSource::Waypoint {
                         nodes,
@@ -328,7 +344,8 @@ impl Scenario {
                 }
                 Some(other) => {
                     return Err(SpecError::global(format!(
-                        "[world] unknown style {other:?} (mit/cambridge/metro/waypoint)"
+                        "{}: unknown style {other:?} (mit/cambridge/metro/waypoint)",
+                        world_key("style")
                     )))
                 }
             }
@@ -351,18 +368,19 @@ impl Scenario {
                 )))
             }
         };
+        for key in ["relay_visits_per_hour", "relay_visit_minutes"] {
+            if relays == 0 && world_tbl.contains_key(key) {
+                return Err(SpecError::global(format!(
+                    "{} needs {} > 0",
+                    world_key(key),
+                    world_key("relays")
+                )));
+            }
+        }
         let relay_visits_per_hour =
             take_pos_f64(&mut world_tbl, "relay_visits_per_hour")?.unwrap_or(0.5);
         let relay_visit_minutes =
             take_pos_f64(&mut world_tbl, "relay_visit_minutes")?.unwrap_or(10.0);
-        if relays == 0
-            && (world_tbl.contains_key("relay_visits_per_hour")
-                || world_tbl.contains_key("relay_visit_minutes"))
-        {
-            // Unreachable after the takes above; kept for clarity if the
-            // takes ever become conditional.
-            return Err(SpecError::global("[world] relay knobs need relays > 0"));
-        }
         reject_unknown(&world_tbl, "world")?;
         let world = WorldSpec {
             source,
@@ -372,14 +390,8 @@ impl Scenario {
             relay_visit_minutes,
         };
 
-        // --- base config (style default, then sections layered on) ---
-        let mut base = match &world.source {
-            WorldSource::Community {
-                style: TraceStyle::CambridgeLike,
-                ..
-            } => SimConfig::cambridge_default(),
-            _ => SimConfig::mit_default(),
-        };
+        // --- base config: Table I's, with the sections layered on ---
+        let mut base = SimConfig::mit_default();
 
         // --- [pois] + [pois.phase_N] ---
         let mut pois_tbl = doc.remove("pois").unwrap_or_default();
@@ -513,7 +525,7 @@ impl Scenario {
                     v.type_name()
                 ))
             })?;
-            base = apply_config(base, "photos_per_hour", rate)?;
+            base = apply_config(base, "photos_per_hour", "[workload] photos_per_hour", rate)?;
             workload_rate = true;
         }
         match workload.remove("cameras") {
@@ -539,7 +551,7 @@ impl Scenario {
                     v.type_name()
                 ))
             })?;
-            base = apply_config(base, "fault_intensity", intensity)?;
+            base = apply_config(base, "fault_intensity", "[faults] intensity", intensity)?;
             faults_set = true;
         }
         reject_unknown(&faults_tbl, "faults")?;
@@ -561,13 +573,11 @@ impl Scenario {
                     "fault intensity set in both [faults] and [sim]",
                 ));
             }
+            let name = spell("sim", key);
             let value = v.as_f64().ok_or_else(|| {
-                SpecError::global(format!(
-                    "[sim] {key} must be a number, got {}",
-                    v.type_name()
-                ))
+                SpecError::global(format!("{name} must be a number, got {}", v.type_name()))
             })?;
-            base = apply_config(base, key, value)?;
+            base = apply_config(base, key, &name, value)?;
         }
         reject_unknown(&sim_tbl, "sim")?;
 
@@ -600,7 +610,7 @@ impl Scenario {
             schemes,
             base,
             grid,
-            fingerprint: fingerprint(text),
+            fingerprint: 0,
         })
     }
 
@@ -718,8 +728,7 @@ impl Scenario {
     }
 
     /// Expands the scenario into an executable (scheme × variant ×
-    /// seed) plan, ordered like the sweep spec's: scheme-major, then
-    /// variant, then seed.
+    /// seed) plan: scheme-major, then variant, then seed.
     #[must_use]
     pub fn plan(&self) -> ScenarioPlan {
         let variants = expand_grid(&self.base, &self.grid);
@@ -765,35 +774,11 @@ impl ScenarioPlan {
         self.variants.get(variant)
     }
 
-    /// The scenario this plan was expanded from.
+    /// The scenario this plan was expanded from; it builds each cell's
+    /// trace and simulation.
     #[must_use]
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
-    }
-
-    /// Builds the contact trace for one cell (see
-    /// [`Scenario::build_trace`]).
-    ///
-    /// # Errors
-    ///
-    /// File traces return a retryable trace-IO error.
-    pub fn build_trace(&self, cell_seed: u64) -> Result<ContactTrace, CellError> {
-        self.scenario.build_trace(cell_seed)
-    }
-
-    /// Builds one cell's simulation (see
-    /// [`Scenario::build_simulation`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the engine's [`SimBuildError`].
-    pub fn build_simulation(
-        &self,
-        config: &SimConfig,
-        trace: &ContactTrace,
-        seed: u64,
-    ) -> Result<Simulation, SimBuildError> {
-        self.scenario.build_simulation(config, trace, seed)
     }
 }
 
@@ -808,6 +793,20 @@ fn weighted_copy(pois: &PoiList, weight: impl Fn(usize, u32) -> f64) -> PoiList 
     )
 }
 
+fn is_known_section(name: &str) -> bool {
+    matches!(
+        name,
+        "scenario" | "world" | "pois" | "workload" | "faults" | "schemes" | "sim" | "grid"
+    ) || is_phase_section(name)
+}
+
+fn unknown_section(name: &str) -> SpecError {
+    SpecError::global(format!(
+        "unknown section [{name}] (expected scenario/world/pois/pois.phase_N/\
+         workload/faults/schemes/sim/grid)"
+    ))
+}
+
 fn is_phase_section(name: &str) -> bool {
     name.strip_prefix("pois.phase_")
         .is_some_and(|n| !n.is_empty() && n.chars().all(|c| c.is_ascii_digit()))
@@ -816,7 +815,7 @@ fn is_phase_section(name: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::spec::SpecErrorKind;
+    use spec::SpecErrorKind;
 
     const SCENARIO: &str = r#"
 [scenario]
@@ -866,6 +865,9 @@ names = ["ours", "spray-wait"]
         let plan = sc.plan();
         assert_eq!(plan.cells.len(), 2); // 2 schemes × base × 1 seed
         assert_eq!(plan.cells[0].variant, "base");
+        // The fingerprint binds journals to the exact text.
+        let edited = Scenario::parse(&format!("{SCENARIO}\n# edited")).unwrap();
+        assert_ne!(sc.fingerprint, edited.fingerprint);
     }
 
     #[test]
@@ -876,15 +878,6 @@ names = ["ours", "spray-wait"]
         assert!(err.to_string().contains("unsupported"), "{err}");
         let err = Scenario::parse("[world]\nstyle = \"mit\"\n").unwrap_err();
         assert!(err.to_string().contains("missing [scenario]"), "{err}");
-    }
-
-    #[test]
-    fn detects_scenario_vs_sweep_text() {
-        assert!(Scenario::is_scenario_text("[scenario]\nversion = 1\n"));
-        assert!(!Scenario::is_scenario_text(
-            "[sweep]\nschemes = [\"ours\"]\nseeds = [1]\n"
-        ));
-        assert!(!Scenario::is_scenario_text("not toml ["));
     }
 
     #[test]
@@ -965,6 +958,31 @@ names = ["ours", "spray-wait"]
                 "[scenario]\nversion = 1\n[pois.phase_0]\nat_hours = 1\nfocus = [0]\ntypo = 1\n",
                 "unknown key",
             ),
+            (
+                "[scenario]\nversion = 1\n[world]\nrelay_visit_minutes = 5\n",
+                "needs [world] relays > 0",
+            ),
+            (
+                "[scenario]\nversion = 1\n[grid]\nstorage = [1]\n",
+                "unknown axis",
+            ),
+            (
+                "[scenario]\nversion = 1\n[grid]\nfault_intensity = [0, 1.5]\n",
+                "out of range",
+            ),
+            (
+                "[scenario]\nversion = 1\n[sim]\nfault_intensity = 1.5\n",
+                "out of range",
+            ),
+            ("[scenario]\nversion = 1\nseeds = [-1]\n", "non-negative"),
+            (
+                "[scenario]\nversion = 1\n[schemes]\nnames = []\n",
+                "non-empty",
+            ),
+            (
+                "[sweep]\nschemes = [\"ours\"]\n[config]\nstorage_gb = 0.6\n",
+                "line 1: unknown section [sweep]",
+            ),
         ] {
             let err = Scenario::parse(text).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?}: {err}");
@@ -986,6 +1004,15 @@ names = ["ours", "spray-wait"]
         assert_eq!(plan.cells.len(), 4);
         assert!(plan.config_of("storage_gb=0.3").is_some());
         assert!(plan.config_of("storage_gb=0.6").is_some());
+        // Several axes form their cross product.
+        let text = "[scenario]\nversion = 1\nseeds = [1, 2]\n\
+                    [grid]\nstorage_gb = [0.3, 0.6]\nphotos_per_hour = [50, 250]\n";
+        let plan = Scenario::parse(text).unwrap().plan();
+        assert_eq!(plan.variants.len(), 4);
+        assert_eq!(plan.cells.len(), 8);
+        let c = plan.config_of("photos_per_hour=50,storage_gb=0.3").unwrap();
+        assert_eq!(c.photos_per_hour, 50.0);
+        assert_eq!(c.storage_bytes, (0.3 * 1024.0 * 1024.0 * 1024.0) as u64);
     }
 
     #[test]
@@ -1030,6 +1057,13 @@ names = ["ours", "spray-wait"]
         )
         .unwrap();
         assert_eq!(metro.build_trace(1).unwrap().num_nodes(), 30);
+        // An unreadable trace file is a retryable cell error.
+        let file =
+            Scenario::parse("[scenario]\nversion = 1\n[world]\ntrace = \"/nonexistent/x.trace\"\n")
+                .unwrap();
+        let err = file.build_trace(1).unwrap_err();
+        assert!(err.kind.retryable());
+        assert!(err.message.contains("/nonexistent/x.trace"), "{err}");
     }
 
     #[test]

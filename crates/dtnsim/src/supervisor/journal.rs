@@ -44,7 +44,7 @@ pub enum JournalLine {
     Header {
         /// Format version.
         version: u32,
-        /// Fingerprint of the sweep spec this journal belongs to.
+        /// Fingerprint of the sweep file this journal belongs to.
         fingerprint: u64,
         /// Total cells in the sweep grid.
         cells: u64,
@@ -330,8 +330,8 @@ pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// FNV-1a 64-bit fingerprint of a sweep spec's raw text. Stable across
-/// platforms and builds; any byte change to the spec invalidates a
+/// FNV-1a 64-bit fingerprint of a sweep file's raw text. Stable across
+/// platforms and builds; any byte change to the file invalidates a
 /// resume.
 #[must_use]
 pub fn fingerprint(text: &str) -> u64 {

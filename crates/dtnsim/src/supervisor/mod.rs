@@ -35,7 +35,6 @@
 //!   deadlines: a hung cell would hang the scope.
 
 pub mod journal;
-pub mod spec;
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

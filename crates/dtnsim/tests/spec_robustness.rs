@@ -1,12 +1,12 @@
 //! Parser-hardening regression suite: the strict TOML-subset parser and
-//! both schemas built on it (sweep specs and scenarios) must turn ANY
-//! input — malformed, truncated mid-token, or byte-mutated — into a
-//! typed [`SpecError`], never a panic, hang, or stack overflow. Every
-//! assertion here is just "returned a `Result`": the test harness
-//! converts a panic into a failure, which is exactly the regression
-//! being pinned.
+//! the scenario schema built on it must turn ANY input — malformed,
+//! truncated mid-token, or byte-mutated — into a typed
+//! [`SpecError`](photodtn_sim::scenario::spec::SpecError), never a
+//! panic, hang, or stack overflow. Every assertion here is just
+//! "returned a `Result`": the test harness converts a panic into a
+//! failure, which is exactly the regression being pinned. The retired
+//! `[sweep]` format rides along as a second, foreign document.
 
-use photodtn_sim::supervisor::spec::SweepSpec;
 use photodtn_sim::Scenario;
 
 const SCENARIO: &str = r#"
@@ -71,12 +71,9 @@ fault_intensity = [0.0, 0.5]
 /// char boundary — parses to `Ok` or a typed error, never a panic.
 #[test]
 fn truncation_at_every_boundary_never_panics() {
-    for (name, text) in [("scenario", SCENARIO), ("sweep", SWEEP)] {
+    for text in [SCENARIO, SWEEP] {
         for (i, _) in text.char_indices() {
-            let prefix = &text[..i];
-            let _ = Scenario::parse(prefix);
-            let _ = SweepSpec::parse(prefix);
-            let _ = name;
+            let _ = Scenario::parse(&text[..i]);
         }
     }
 }
@@ -97,20 +94,17 @@ fn byte_mutation_at_every_position_never_panics() {
                 mutated[pos] = m;
                 let repaired = String::from_utf8_lossy(&mutated);
                 let _ = Scenario::parse(&repaired);
-                let _ = SweepSpec::parse(&repaired);
             }
         }
     }
 }
 
-/// Cross-format confusion: feeding each schema the other's document is a
-/// clean validation error naming the missing/unknown section.
+/// Format confusion: a retired `[sweep]` document is a clean validation
+/// error naming the unknown section.
 #[test]
 fn wrong_schema_is_a_clean_validation_error() {
     let err = Scenario::parse(SWEEP).unwrap_err();
-    assert!(err.to_string().contains("unknown section"), "{err}");
-    let err = SweepSpec::parse(SCENARIO).unwrap_err();
-    assert!(err.to_string().contains("unknown section"), "{err}");
+    assert!(err.to_string().contains("unknown section [sweep]"), "{err}");
 }
 
 /// Adversarial shapes that historically crash hand-rolled parsers:
@@ -140,6 +134,5 @@ fn adversarial_inputs_never_panic() {
     ];
     for case in &cases {
         let _ = Scenario::parse(case);
-        let _ = SweepSpec::parse(case);
     }
 }
