@@ -152,14 +152,14 @@ enum Strategy {
 /// Runs the greedy reallocation with indexed lazy gain evaluation.
 #[must_use]
 pub fn reallocate(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexed, false)
+    run(input, Strategy::LazyIndexed)
 }
 
 /// Runs the greedy reallocation recomputing every candidate's gain at
 /// every step (reference implementation).
 #[must_use]
 pub fn reallocate_naive(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::Naive, false)
+    run(input, Strategy::Naive)
 }
 
 /// Runs the pre-index lazy greedy: per-metadata gain evaluation and
@@ -167,7 +167,7 @@ pub fn reallocate_naive(input: &SelectionInput<'_>) -> SelectionResult {
 /// baseline and equivalence witness for [`reallocate`].
 #[must_use]
 pub fn reallocate_lazy_linear(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyLinear, false)
+    run(input, Strategy::LazyLinear)
 }
 
 /// Runs the indexed lazy greedy with coverage tables built through the
@@ -177,19 +177,7 @@ pub fn reallocate_lazy_linear(input: &SelectionInput<'_>) -> SelectionResult {
 /// bit-identical to [`reallocate`].
 #[must_use]
 pub fn reallocate_indexed_scalar(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexedScalar, false)
-}
-
-/// Runs the greedy reallocation ranking candidates by **gain per byte**
-/// instead of raw gain — an extension for heterogeneous photo sizes.
-///
-/// The paper's photos are uniformly 4 MB, so its greedy ignores size;
-/// with mixed sizes the density rule is the classic knapsack heuristic
-/// and dominates raw-gain greedy whenever small photos can substitute
-/// for a large one.
-#[must_use]
-pub fn reallocate_density(input: &SelectionInput<'_>) -> SelectionResult {
-    run(input, Strategy::LazyIndexed, true)
+    run(input, Strategy::LazyIndexedScalar)
 }
 
 /// Runs the greedy reallocation with per-PoI aspect weights (§II-C:
@@ -201,17 +189,16 @@ pub fn reallocate_weighted(
     input: &SelectionInput<'_>,
     weights: &AspectWeightMap,
 ) -> SelectionResult {
-    run_with(input, Strategy::LazyIndexed, false, Some(weights))
+    run_with(input, Strategy::LazyIndexed, Some(weights))
 }
 
-fn run(input: &SelectionInput<'_>, strategy: Strategy, per_byte: bool) -> SelectionResult {
-    run_with(input, strategy, per_byte, None)
+fn run(input: &SelectionInput<'_>, strategy: Strategy) -> SelectionResult {
+    run_with(input, strategy, None)
 }
 
 fn run_with(
     input: &SelectionInput<'_>,
     strategy: Strategy,
-    per_byte: bool,
     weights: Option<&AspectWeightMap>,
 ) -> SelectionResult {
     let mut engine = ExpectedEngine::new(input.pois, input.params);
@@ -270,10 +257,10 @@ fn run_with(
 
     let mut select = |engine: &mut ExpectedEngine, peer: &PeerState, stats: &mut SelectionStats| {
         match strategy {
-            Strategy::Naive => select_naive(engine, peer, &pool, per_byte, stats),
-            Strategy::LazyLinear => select_lazy_linear(engine, peer, &pool, per_byte, stats),
+            Strategy::Naive => select_naive(engine, peer, &pool, stats),
+            Strategy::LazyLinear => select_lazy_linear(engine, peer, &pool, stats),
             Strategy::LazyIndexed | Strategy::LazyIndexedScalar => {
-                select_lazy_indexed(engine, peer, &items, per_byte, &mut poi_gen, stats)
+                select_lazy_indexed(engine, peer, &items, &mut poi_gen, stats)
             }
         }
     };
@@ -442,7 +429,6 @@ impl SelectionSession {
             &mut self.engine,
             first,
             &self.items,
-            false,
             &mut self.poi_gen,
             &mut stats,
         );
@@ -450,7 +436,6 @@ impl SelectionSession {
             &mut self.engine,
             second,
             &self.items,
-            false,
             &mut self.poi_gen,
             &mut stats,
         );
@@ -490,7 +475,6 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
     engine: &mut ExpectedEngine,
     peer: &PeerState,
     items: &[(Photo, C)],
-    per_byte: bool,
     poi_gen: &mut [u32],
     stats: &mut SelectionStats,
 ) -> Vec<PhotoId> {
@@ -506,7 +490,7 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
             stats.evaluations += 1;
             let raw = engine.gain_of_indexed(node, cov.borrow());
             IndexedEntry {
-                gain: rank(raw, p.size, per_byte),
+                gain: rank(raw),
                 raw,
                 id: p.id,
                 idx: i as u32,
@@ -530,7 +514,7 @@ fn select_lazy_indexed<C: Borrow<PhotoCoverage>>(
             stats.evaluations += 1;
             stats.refreshes += 1;
             top.raw = engine.gain_of_indexed(node, cov);
-            top.gain = rank(top.raw, photo.size, per_byte);
+            top.gain = rank(top.raw);
             top.gen = cur_gen;
             // Still at least as good as the next candidate's bound?
             if let Some(next) = heap.peek() {
@@ -561,7 +545,6 @@ fn select_lazy_linear(
     engine: &mut ExpectedEngine,
     peer: &PeerState,
     pool: &BTreeMap<PhotoId, Photo>,
-    per_byte: bool,
     stats: &mut SelectionStats,
 ) -> Vec<PhotoId> {
     let node = engine.add_node(peer.delivery_prob);
@@ -575,7 +558,7 @@ fn select_lazy_linear(
         .map(|p| {
             stats.evaluations += 1;
             HeapEntry {
-                gain: rank(engine.gain_of(node, &p.meta), p.size, per_byte),
+                gain: rank(engine.gain_of(node, &p.meta)),
                 id: p.id,
                 fresh: true,
             }
@@ -592,7 +575,7 @@ fn select_lazy_linear(
         if !top.fresh {
             stats.evaluations += 1;
             stats.refreshes += 1;
-            top.gain = rank(engine.gain_of(node, &photo.meta), photo.size, per_byte);
+            top.gain = rank(engine.gain_of(node, &photo.meta));
             top.fresh = true;
             // Still at least as good as the next candidate's bound?
             if let Some(next) = heap.peek() {
@@ -625,7 +608,6 @@ fn select_naive(
     engine: &mut ExpectedEngine,
     peer: &PeerState,
     pool: &BTreeMap<PhotoId, Photo>,
-    per_byte: bool,
     stats: &mut SelectionStats,
 ) -> Vec<PhotoId> {
     let node = engine.add_node(peer.delivery_prob);
@@ -638,7 +620,7 @@ fn select_naive(
                 continue;
             }
             stats.evaluations += 1;
-            let g = rank(engine.gain_of(node, &p.meta), p.size, per_byte);
+            let g = rank(engine.gain_of(node, &p.meta));
             if g <= (0, 0) {
                 continue;
             }
@@ -662,14 +644,11 @@ fn select_naive(
 
 /// Gains are compared at a fixed 1e-9 resolution so that floating-point
 /// noise cannot make the lazy and naive paths break ties differently.
-/// With `per_byte` the components are divided by the photo size first
-/// (the gain-per-byte knapsack heuristic); positivity is unaffected.
-fn rank(c: Coverage, size: u64, per_byte: bool) -> (i64, i64) {
+fn rank(c: Coverage) -> (i64, i64) {
     const SCALE: f64 = 1e9;
-    let div = if per_byte { size.max(1) as f64 } else { 1.0 };
     (
-        (c.point / div * SCALE).round() as i64,
-        (c.aspect / div * SCALE).round() as i64,
+        (c.point * SCALE).round() as i64,
+        (c.aspect * SCALE).round() as i64,
     )
 }
 
@@ -992,74 +971,6 @@ mod tests {
         let r = reallocate(&input);
         assert!(r.a_selected.is_empty() && r.b_selected.is_empty());
         assert!(r.expected.is_zero());
-    }
-
-    #[test]
-    fn density_variant_beats_raw_gain_on_mixed_sizes() {
-        // One 3-byte photo covers both PoIs; three 1-byte photos cover
-        // them severally with an extra angle. With capacity 3, raw-gain
-        // greedy grabs the big photo (gain 2 points) and is full; the
-        // density rule takes the three small ones and wins on aspects.
-        let pois = pois();
-        let t0 = Point::new(0.0, 0.0);
-        let t1 = Point::new(600.0, 0.0);
-        // a wide shot midway that covers both targets
-        let both = Photo::new(
-            1,
-            PhotoMeta::new(
-                Point::new(300.0, 10.0),
-                320.0,
-                Angle::from_degrees(180.0),
-                Angle::from_degrees(270.0),
-            ),
-            0.0,
-        )
-        .with_size(3);
-        assert!(both.meta.covers(&pois[photodtn_coverage::PoiId(0)]));
-        assert!(both.meta.covers(&pois[photodtn_coverage::PoiId(1)]));
-        let smalls = [shot(2, t0, 0.0), shot(3, t1, 0.0), shot(4, t0, 180.0)];
-        let input = SelectionInput {
-            pois: &pois,
-            params: CoverageParams::default(),
-            a: peer(0, 0.9, 3, vec![both, smalls[0], smalls[1], smalls[2]]),
-            b: peer(1, 0.0, 0, vec![]),
-            others: vec![],
-        };
-        let raw = reallocate(&input);
-        let dense = reallocate_density(&input);
-        assert_eq!(
-            raw.a_selected,
-            vec![PhotoId(1)],
-            "raw greedy takes the big photo"
-        );
-        assert_eq!(
-            dense.a_selected.len(),
-            3,
-            "density greedy takes the three small ones"
-        );
-        assert!(!dense.a_selected.contains(&PhotoId(1)));
-        assert!(dense.expected > raw.expected);
-    }
-
-    #[test]
-    fn density_equals_raw_for_uniform_sizes() {
-        // With the paper's uniform photo size the two rules coincide.
-        let pois = pois();
-        let t0 = Point::new(0.0, 0.0);
-        let t1 = Point::new(600.0, 0.0);
-        let input = SelectionInput {
-            pois: &pois,
-            params: CoverageParams::default(),
-            a: peer(
-                0,
-                0.7,
-                3,
-                vec![shot(1, t0, 0.0), shot(2, t1, 90.0), shot(3, t0, 200.0)],
-            ),
-            b: peer(1, 0.2, 2, vec![shot(4, t1, 270.0)]),
-            others: vec![],
-        };
-        assert_eq!(reallocate(&input), reallocate_density(&input));
     }
 
     #[test]

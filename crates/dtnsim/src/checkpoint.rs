@@ -34,7 +34,7 @@
 //! write-temp-fsync-rename discipline ([`journal::write_atomic`]):
 //!
 //! ```text
-//! photodtn-ckpt v2 fp=<fnv64 hex> crc=<fnv64 hex> len=<payload bytes>
+//! photodtn-ckpt v3 fp=<fnv64 hex> crc=<fnv64 hex> len=<payload bytes>
 //! <one-line JSON payload>
 //! ```
 //!
@@ -62,8 +62,10 @@ use crate::{MetricSample, RunStats, Scheme, SimConfig, SimCtx};
 /// what [`run_fingerprint`] hashes, so old readers reject new files (and
 /// vice versa) with a typed [`CheckpointError::UnsupportedVersion`]
 /// rather than a fingerprint mismatch that would call them a different
-/// run (v2: the serialized config no longer has `shards`).
-pub const FORMAT_VERSION: u64 = 2;
+/// run (v2: the serialized config no longer has `shards`; v3: a PROPHET
+/// table is a sequence of `[destination, entry]` pairs sorted by
+/// destination, no longer a map).
+pub const FORMAT_VERSION: u64 = 3;
 
 const MAGIC: &str = "photodtn-ckpt";
 

@@ -334,7 +334,9 @@ impl Simulation {
     /// # Errors
     ///
     /// [`CheckpointError::StateShape`] when the payload does not fit this
-    /// world or names a different scheme than `scheme`.
+    /// world, names a different scheme than `scheme`, or holds PROPHET
+    /// state that fails [`ProphetRouter::validate`] (a table out of order
+    /// would make lookups silently wrong).
     pub fn resume_from<S: Scheme + ?Sized>(
         &mut self,
         payload: CheckpointPayload,
@@ -375,6 +377,9 @@ impl Simulation {
                 payload.prophet.num_nodes(),
                 self.num_participants + 1
             )));
+        }
+        if let Err(detail) = payload.prophet.validate() {
+            return Err(shape_err(format!("snapshot PROPHET state: {detail}")));
         }
         self.resume = Some(payload);
         Ok(())

@@ -191,6 +191,17 @@ fn traced_resume_reproduces_the_trace_file_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The world [`real_snapshot`] runs.
+fn snapshot_world() -> (ContactTrace, SimConfig) {
+    let trace = CommunityTraceGenerator::new(TraceStyle::MitLike)
+        .with_num_nodes(8)
+        .with_duration_hours(6.0)
+        .generate(3);
+    let mut config = SimConfig::mit_default().with_photos_per_hour(10.0);
+    config.num_pois = 20;
+    (trace, config)
+}
+
 /// Writes one real snapshot and returns its directory, the run
 /// fingerprint, the snapshot path, and the raw file bytes.
 ///
@@ -200,12 +211,7 @@ fn traced_resume_reproduces_the_trace_file_byte_for_byte() {
 /// blowing up debug-mode test time. The bytes are still produced by the
 /// real capture path, not hand-crafted.
 fn real_snapshot(name: &str) -> (PathBuf, u64, PathBuf, Vec<u8>) {
-    let trace = CommunityTraceGenerator::new(TraceStyle::MitLike)
-        .with_num_nodes(8)
-        .with_duration_hours(6.0)
-        .generate(3);
-    let mut config = SimConfig::mit_default().with_photos_per_hour(10.0);
-    config.num_pois = 20;
+    let (trace, config) = snapshot_world();
     let dir = tmp_dir(name);
     let fp = checkpoint::run_fingerprint(&config, &trace, 42, "best-possible");
     let mut scheme = BestPossible;
@@ -300,6 +306,34 @@ fn resuming_with_a_different_scheme_is_a_shape_error() {
         matches!(err, CheckpointError::StateShape { .. }),
         "expected a state-shape error, got: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// PROPHET tables are binary-searched, so a table whose destinations
+/// are out of order would resume into silently wrong predictabilities.
+/// Such a payload decodes fine; `resume_from` must refuse it.
+#[test]
+fn unsorted_prophet_table_is_a_shape_error() {
+    let (dir, fp, _, _) = real_snapshot("prophet-order");
+    let (mut payload, _) = checkpoint::load_latest(&dir, Some(fp)).unwrap();
+    let mut state = serde_json::to_value(&payload.prophet).unwrap();
+    let entries = state["tables"]
+        .as_array_mut()
+        .unwrap()
+        .iter_mut()
+        .map(|table| table["entries"].as_array_mut().unwrap())
+        .find(|entries| entries.len() >= 2)
+        .expect("some node knows two destinations");
+    entries.reverse();
+    payload.prophet = serde_json::from_value(state).unwrap();
+    let (trace, config) = snapshot_world();
+    let mut sim = Simulation::new(&config, &trace, 42);
+    let err = sim.resume_from(payload, &BestPossible).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::StateShape { .. }),
+        "expected a state-shape error, got: {err}"
+    );
+    assert!(err.to_string().contains("not strictly sorted"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

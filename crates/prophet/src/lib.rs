@@ -18,6 +18,11 @@
 //! which makes `γ = 0.98` a gentle decay on trace scales of hundreds of
 //! hours (configurable via [`ProphetParams::time_unit`]).
 //!
+//! Each node's table is a vector sorted by destination. A contact applies
+//! both encounters, then one merge of the two tables computes both sides'
+//! transitivity from the values before the exchange, aging each entry
+//! through a per-contact memo of `γ^k` (DESIGN.md decision #16).
+//!
 //! # Example
 //!
 //! ```
@@ -36,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -96,10 +101,11 @@ impl Default for ProphetParams {
 }
 
 /// One node's predictability table: `P(self, dest)` for every destination
-/// it has (directly or transitively) learned about.
+/// it has (directly or transitively) learned about, sorted by destination
+/// so lookups are a binary search and a contact is one merge.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ProphetTable {
-    entries: HashMap<u32, Entry>,
+    entries: Vec<(u32, Entry)>,
 }
 
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -120,8 +126,8 @@ impl ProphetTable {
     #[must_use]
     pub fn predictability(&self, dest: NodeId, now: f64, params: &ProphetParams) -> f64 {
         self.entries
-            .get(&dest.0)
-            .map_or(0.0, |e| aged(e, now, params))
+            .binary_search_by_key(&dest.0, |&(d, _)| d)
+            .map_or(0.0, |i| aged(&self.entries[i].1, now, params))
     }
 
     /// Number of known destinations.
@@ -137,51 +143,169 @@ impl ProphetTable {
     }
 
     /// Applies the encounter rule for a meeting with `peer` at `now`.
-    pub fn encounter(&mut self, peer: NodeId, now: f64, params: &ProphetParams) {
-        let e = self.entries.entry(peer.0).or_insert(Entry {
-            p: 0.0,
-            last_aged: now,
-        });
+    fn encounter(&mut self, peer: NodeId, now: f64, params: &ProphetParams) {
+        let i = match self.entries.binary_search_by_key(&peer.0, |&(d, _)| d) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = Entry {
+                    p: 0.0,
+                    last_aged: now,
+                };
+                self.entries.insert(i, (peer.0, fresh));
+                i
+            }
+        };
+        let e = &mut self.entries[i].1;
         let p = aged(e, now, params);
         e.p = p + (1.0 - p) * params.p_init;
         e.last_aged = now;
     }
+}
 
-    /// Applies the transitivity rule using the peer's table at `now`.
-    pub fn transitive(
-        &mut self,
-        peer: NodeId,
-        peer_table: &ProphetTable,
-        now: f64,
-        params: &ProphetParams,
-    ) {
-        let p_ab = self.predictability(peer, now, params);
-        if p_ab <= 0.0 {
-            return;
-        }
-        for (&dest, peer_entry) in &peer_table.entries {
-            if dest == peer.0 {
-                continue;
-            }
-            let p_bc = aged(peer_entry, now, params);
-            let candidate = p_ab * p_bc * params.beta;
-            if candidate <= 0.0 {
-                continue;
-            }
-            let e = self.entries.entry(dest).or_insert(Entry {
-                p: 0.0,
-                last_aged: now,
-            });
-            let current = aged(e, now, params);
-            e.p = current.max(candidate);
-            e.last_aged = now;
+/// `γ^k` for the `k` time units between `last_aged` and `now`.
+fn decay(last_aged: f64, now: f64, params: &ProphetParams) -> f64 {
+    let elapsed = (now - last_aged).max(0.0);
+    params.gamma.powf(elapsed / params.time_unit)
+}
+
+fn aged(e: &Entry, now: f64, params: &ProphetParams) -> f64 {
+    e.p * decay(e.last_aged, now, params)
+}
+
+/// [`DecayMemo`] has `2^MEMO_BITS` slots.
+const MEMO_BITS: u32 = 6;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// [`decay`] memoized per distinct `last_aged` within one contact, in a
+/// direct-mapped table keyed on the `f64` bits. A table's entries share
+/// few `last_aged` values (every entry a contact touches gets its time),
+/// so most lookups hit and the merge rarely calls `powf`.
+#[derive(Clone, Debug)]
+struct DecayMemo {
+    now: f64,
+    slots: [(u64, f64); MEMO_SLOTS],
+}
+
+impl Default for DecayMemo {
+    fn default() -> Self {
+        DecayMemo {
+            now: 0.0,
+            slots: [(0.0f64.to_bits(), 1.0); MEMO_SLOTS],
         }
     }
 }
 
-fn aged(e: &Entry, now: f64, params: &ProphetParams) -> f64 {
-    let elapsed = (now - e.last_aged).max(0.0);
-    e.p * params.gamma.powf(elapsed / params.time_unit)
+impl DecayMemo {
+    /// Forgets the previous contact. Every slot is filled with the one
+    /// entry known exactly, `last_aged == now`, so no slot is ever stale.
+    fn reset(&mut self, now: f64, params: &ProphetParams) {
+        self.now = now;
+        self.slots = [(now.to_bits(), decay(now, now, params)); MEMO_SLOTS];
+    }
+
+    /// [`aged`] at the memo's `now`: the same product, with the same
+    /// factor.
+    fn aged(&mut self, e: &Entry, params: &ProphetParams) -> f64 {
+        let key = e.last_aged.to_bits();
+        let slot =
+            &mut self.slots[(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize];
+        if slot.0 != key {
+            *slot = (key, decay(e.last_aged, self.now, params));
+        }
+        e.p * slot.1
+    }
+}
+
+/// Working memory of [`ProphetRouter::contact`]: the two merged tables
+/// before they are copied back, and the decay memo. Not state — it is
+/// left out of snapshots.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    merged: [Vec<(u32, Entry)>; 2],
+    memo: DecayMemo,
+}
+
+/// The learner's entry for one destination after transitivity. `own` is
+/// its entry, `own_aged` that entry's value at `now` (0 when absent), and
+/// `candidate` is `P(self,peer) · P(peer,dest) · β` when the rule applies.
+fn learn(own: Option<Entry>, own_aged: f64, candidate: Option<f64>, now: f64) -> Option<Entry> {
+    match candidate {
+        Some(c) if c <= 0.0 => own,
+        Some(c) => Some(Entry {
+            p: own_aged.max(c),
+            last_aged: now,
+        }),
+        None => own,
+    }
+}
+
+/// Applies the transitivity rule to both sides of a contact between `a`
+/// and `b` at `now`, in one walk over their post-encounter tables `ta`
+/// and `tb`: each side learns from the other's values *before* either
+/// changes. The results go to `out_a` and `out_b`, sorted.
+fn merge_transitive(
+    (a, ta): (u32, &[(u32, Entry)]),
+    (b, tb): (u32, &[(u32, Entry)]),
+    now: f64,
+    params: &ProphetParams,
+    memo: &mut DecayMemo,
+    out_a: &mut Vec<(u32, Entry)>,
+    out_b: &mut Vec<(u32, Entry)>,
+) {
+    out_a.clear();
+    out_b.clear();
+    let direct = |t: &[(u32, Entry)], peer: u32, memo: &mut DecayMemo| {
+        t.binary_search_by_key(&peer, |&(d, _)| d)
+            .map_or(0.0, |i| memo.aged(&t[i].1, params))
+    };
+    let p_ab = direct(ta, b, memo);
+    let p_ba = direct(tb, a, memo);
+    // A side whose P(self, peer) is not positive learns nothing.
+    let a_skips = p_ab <= 0.0;
+    let b_skips = p_ba <= 0.0;
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let (dest, ea, eb) = match (ta.get(i), tb.get(j)) {
+            (Some(&(da, ea)), Some(&(db, eb))) => match da.cmp(&db) {
+                Ordering::Less => {
+                    i += 1;
+                    (da, Some(ea), None)
+                }
+                Ordering::Greater => {
+                    j += 1;
+                    (db, None, Some(eb))
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                    (da, Some(ea), Some(eb))
+                }
+            },
+            (Some(&(da, ea)), None) => {
+                i += 1;
+                (da, Some(ea), None)
+            }
+            (None, Some(&(db, eb))) => {
+                j += 1;
+                (db, None, Some(eb))
+            }
+            (None, None) => break,
+        };
+        let aged_a = ea.map_or(0.0, |e| memo.aged(&e, params));
+        let aged_b = eb.map_or(0.0, |e| memo.aged(&e, params));
+        let cand_a = eb
+            .filter(|_| !a_skips && dest != b)
+            .map(|_| p_ab * aged_b * params.beta);
+        let cand_b = ea
+            .filter(|_| !b_skips && dest != a)
+            .map(|_| p_ba * aged_a * params.beta);
+        if let Some(e) = learn(ea, aged_a, cand_a, now) {
+            out_a.push((dest, e));
+        }
+        if let Some(e) = learn(eb, aged_b, cand_b, now) {
+            out_b.push((dest, e));
+        }
+    }
 }
 
 /// Predictability state for a whole network: one [`ProphetTable`] per node,
@@ -190,6 +314,8 @@ fn aged(e: &Entry, now: f64, params: &ProphetParams) -> f64 {
 pub struct ProphetRouter {
     params: ProphetParams,
     tables: Vec<ProphetTable>,
+    #[serde(skip)]
+    scratch: Scratch,
 }
 
 impl ProphetRouter {
@@ -204,6 +330,7 @@ impl ProphetRouter {
         ProphetRouter {
             params,
             tables: vec![ProphetTable::new(); num_nodes as usize],
+            scratch: Scratch::default(),
         }
     }
 
@@ -224,16 +351,30 @@ impl ProphetRouter {
     ///
     /// # Panics
     ///
-    /// Panics if either node id is out of range.
+    /// Panics if either node id is out of range, or if `a == b` (a node
+    /// cannot meet itself).
     pub fn contact(&mut self, a: NodeId, b: NodeId, now: f64) {
         assert!(a.index() < self.tables.len() && b.index() < self.tables.len());
-        self.tables[a.index()].encounter(b, now, &self.params);
-        self.tables[b.index()].encounter(a, now, &self.params);
-        // transitivity uses snapshots of the post-encounter tables
-        let ta = self.tables[a.index()].clone();
-        let tb = self.tables[b.index()].clone();
-        self.tables[a.index()].transitive(b, &tb, now, &self.params);
-        self.tables[b.index()].transitive(a, &ta, now, &self.params);
+        assert_ne!(a, b, "PROPHET contact of a node with itself");
+        let params = self.params;
+        self.tables[a.index()].encounter(b, now, &params);
+        self.tables[b.index()].encounter(a, now, &params);
+        let Scratch { merged, memo } = &mut self.scratch;
+        let [out_a, out_b] = merged;
+        memo.reset(now, &params);
+        merge_transitive(
+            (a.0, &self.tables[a.index()].entries),
+            (b.0, &self.tables[b.index()].entries),
+            now,
+            &params,
+            memo,
+            out_a,
+            out_b,
+        );
+        // Copy back rather than swap, so each table keeps a capacity
+        // sized by its own history, not by the largest merge so far.
+        self.tables[a.index()].entries.clone_from(out_a);
+        self.tables[b.index()].entries.clone_from(out_b);
     }
 
     /// Replays a whole trace (contacts applied at their start times).
@@ -267,7 +408,40 @@ impl ProphetRouter {
     pub fn reset_node(&mut self, node: NodeId) {
         self.tables[node.index()] = ProphetTable::new();
     }
+
+    /// Checks what [`new`](Self::new) and [`contact`](Self::contact)
+    /// guarantee but a deserialized router may not: valid parameters, and
+    /// every table listing node ids of this network in strictly increasing
+    /// order (lookups binary-search it).
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        self.params.validate()?;
+        let n = self.num_nodes();
+        for (node, table) in self.tables.iter().enumerate() {
+            let mut prev: Option<u32> = None;
+            for &(dest, _) in &table.entries {
+                if dest >= n {
+                    return Err(format!(
+                        "node {node}'s table names destination {dest} of a {n}-node network"
+                    ));
+                }
+                if let Some(p) = prev.filter(|&p| p >= dest) {
+                    return Err(format!(
+                        "node {node}'s table is not strictly sorted ({p} before {dest})"
+                    ));
+                }
+                prev = Some(dest);
+            }
+        }
+        Ok(())
+    }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -420,6 +594,48 @@ mod tests {
         // 2 heard about 0 via transitivity through 1
         assert!(r.predictability(NodeId(2), NodeId(0), 100.0) > 0.0);
         assert_eq!(r.num_nodes(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "with itself")]
+    fn self_contact_panics() {
+        let mut r = ProphetRouter::new(3, params());
+        r.contact(NodeId(1), NodeId(1), 0.0);
+    }
+
+    #[test]
+    fn validate_rejects_tables_binary_search_cannot_use() {
+        let mut r = ProphetRouter::new(4, params());
+        r.contact(NodeId(0), NodeId(1), 0.0);
+        r.contact(NodeId(1), NodeId(2), 10.0);
+        assert_eq!(r.validate(), Ok(()));
+
+        let mut unsorted = r.clone();
+        unsorted.tables[1].entries.reverse();
+        let err = unsorted.validate().unwrap_err();
+        assert!(
+            err.contains("node 1") && err.contains("not strictly sorted"),
+            "{err}"
+        );
+
+        let mut repeated = r.clone();
+        let first = repeated.tables[2].entries[0];
+        repeated.tables[2].entries.insert(0, first);
+        let err = repeated.validate().unwrap_err();
+        assert!(
+            err.contains("node 2") && err.contains("not strictly sorted"),
+            "{err}"
+        );
+
+        let mut foreign = r.clone();
+        let e = foreign.tables[0].entries[0].1;
+        foreign.tables[0].entries.push((9, e));
+        let err = foreign.validate().unwrap_err();
+        assert!(err.contains("destination 9 of a 4-node network"), "{err}");
+
+        let mut bad_params = r;
+        bad_params.params.gamma = 1.5;
+        assert!(bad_params.validate().unwrap_err().contains("gamma"));
     }
 
     #[test]
