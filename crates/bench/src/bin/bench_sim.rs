@@ -174,7 +174,7 @@ fn time_scheme(workload: &Workload, trace: &ContactTrace, scheme: &'static str) 
     }
 }
 
-/// Parses "scheme median_ns [min_ns]" lines; the third column is
+/// Parses `scheme median_ns [min_ns]` lines; the third column is
 /// missing in baselines from older harness revisions, in which case the
 /// median stands in for the minimum.
 fn baseline_from(path: &str) -> Vec<(String, u128, u128)> {

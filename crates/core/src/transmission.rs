@@ -123,10 +123,79 @@ pub fn plan_transfers(
     TransferPlan { steps }
 }
 
-/// Executes a plan in order, stopping at the first transfer that exceeds
-/// the remaining byte budget (the contact ended). Mutates both
-/// collections; evicts unselected photos from a receiver when space is
-/// needed.
+/// The two ends of a contact as [`execute_plan`] drives them: side `true`
+/// is node `a`, side `false` node `b`. The link owns the byte budget,
+/// the storage rule and the fate of every transmission.
+pub trait ContactLink {
+    /// The photos one side holds.
+    fn photos(&self, a: bool) -> &PhotoCollection;
+    /// Whether one side can store `size` more bytes.
+    fn has_room(&self, a: bool, size: u64) -> bool;
+    /// Bytes the link can still carry.
+    fn bytes_left(&self) -> u64;
+    /// Drops a photo from one side.
+    fn evict(&mut self, a: bool, id: PhotoId);
+    /// Transmits one planned photo: charges its bytes, decides its fate
+    /// and stores it at the receiver if it arrived intact. `None` when the
+    /// link refused it, charging nothing.
+    fn transmit(&mut self, t: &Transfer) -> Option<TransferFate>;
+}
+
+/// A perfect [`ContactLink`] between two local collections with fixed
+/// capacities and a byte budget: the executor on its own, without a
+/// simulated world around it.
+#[derive(Debug)]
+pub struct PairLink<'a> {
+    sides: [(&'a mut PhotoCollection, u64); 2],
+    budget: u64,
+}
+
+impl<'a> PairLink<'a> {
+    /// Links `a` and `b` (with their storage capacities) for `budget`
+    /// bytes.
+    pub fn new(
+        a: &'a mut PhotoCollection,
+        a_capacity: u64,
+        b: &'a mut PhotoCollection,
+        b_capacity: u64,
+        budget: u64,
+    ) -> Self {
+        PairLink {
+            sides: [(b, b_capacity), (a, a_capacity)],
+            budget,
+        }
+    }
+}
+
+impl ContactLink for PairLink<'_> {
+    fn photos(&self, a: bool) -> &PhotoCollection {
+        self.sides[usize::from(a)].0
+    }
+
+    fn has_room(&self, a: bool, size: u64) -> bool {
+        let (photos, capacity) = &self.sides[usize::from(a)];
+        photos.total_size() + size <= *capacity
+    }
+
+    fn bytes_left(&self) -> u64 {
+        self.budget
+    }
+
+    fn evict(&mut self, a: bool, id: PhotoId) {
+        self.sides[usize::from(a)].0.remove(id);
+    }
+
+    fn transmit(&mut self, t: &Transfer) -> Option<TransferFate> {
+        let photo = *self.photos(!t.to_a).get(t.photo)?;
+        self.budget = self.budget.checked_sub(photo.size)?;
+        self.sides[usize::from(t.to_a)].0.insert(photo);
+        Some(TransferFate::Intact)
+    }
+}
+
+/// Executes a plan in order over `link`, stopping at the first transfer
+/// that exceeds the bytes the link has left (the contact ended). Evicts
+/// unselected photos from a receiver when space is needed.
 ///
 /// A receiver never evicts the **last copy** of a photo the peer's
 /// selection still needs — such transfers are deferred and retried after
@@ -134,102 +203,67 @@ pub fn plan_transfers(
 /// been copied across, making it evictable). A mutual-swap deadlock with
 /// both storages exactly full can still leave a transfer unrealized; the
 /// outcome's counters reflect what actually moved.
+///
+/// The link decides each transmission's [`TransferFate`], once per attempt
+/// (after the receiver has secured storage), in transmission order. Lost
+/// and corrupt transmissions consume budget — the bytes went over the
+/// air — but the photo is not stored, and the transfer is not retried.
 pub fn execute_plan(
     plan: &TransferPlan,
     result: &SelectionResult,
-    a_photos: &mut PhotoCollection,
-    a_capacity: u64,
-    b_photos: &mut PhotoCollection,
-    b_capacity: u64,
-    budget_bytes: u64,
-) -> ContactOutcome {
-    execute_plan_with(
-        plan,
-        result,
-        a_photos,
-        a_capacity,
-        b_photos,
-        b_capacity,
-        budget_bytes,
-        |_| TransferFate::Intact,
-    )
-}
-
-/// Like [`execute_plan`], but every actual transmission is routed through
-/// `link`, which decides its [`TransferFate`] — the hook a fault injector
-/// uses to lose or corrupt individual transfers.
-///
-/// `link` is called once per transmission *attempt* (after the receiver
-/// has secured storage for the photo), in transmission order, so a
-/// deterministic `link` yields a deterministic outcome. Lost and corrupt
-/// transmissions consume budget — the bytes went over the air — but the
-/// photo is not stored, and the transfer is not retried.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_with(
-    plan: &TransferPlan,
-    result: &SelectionResult,
-    a_photos: &mut PhotoCollection,
-    a_capacity: u64,
-    b_photos: &mut PhotoCollection,
-    b_capacity: u64,
-    budget_bytes: u64,
-    mut link: impl FnMut(&Transfer) -> TransferFate,
+    link: &mut impl ContactLink,
 ) -> ContactOutcome {
     let a_keep: BTreeSet<PhotoId> = result.a_selected.iter().copied().collect();
     let b_keep: BTreeSet<PhotoId> = result.b_selected.iter().copied().collect();
     let mut out = ContactOutcome::default();
-    let mut budget = budget_bytes;
 
     let mut pending: Vec<Transfer> = plan.steps.clone();
     loop {
         let mut deferred: Vec<Transfer> = Vec::new();
         let mut progressed = false;
         for t in &pending {
-            if out.truncated {
-                break;
-            }
-            if t.size > budget {
+            if t.size > link.bytes_left() {
                 out.truncated = true;
                 break;
             }
-            let (receiver, sender, cap, keep, peer_keep) = if t.to_a {
-                (&mut *a_photos, &mut *b_photos, a_capacity, &a_keep, &b_keep)
+            let (to, from) = (t.to_a, !t.to_a);
+            let (keep, peer_keep) = if t.to_a {
+                (&a_keep, &b_keep)
             } else {
-                (&mut *b_photos, &mut *a_photos, b_capacity, &b_keep, &a_keep)
+                (&b_keep, &a_keep)
             };
-            let Some(photo) = sender.get(t.photo).copied() else {
-                continue;
-            };
-            if receiver.contains(t.photo) {
+            if !link.photos(from).contains(t.photo) || link.photos(to).contains(t.photo) {
                 continue;
             }
             // Make room by evicting photos this node's selection
             // excluded, highest id first (deterministic). A photo the
             // *peer's* selection wants is spared unless the peer already
             // holds a copy.
-            while receiver.total_size() + photo.size > cap {
-                let victim = receiver.ids().rev().find(|id| {
+            while !link.has_room(to, t.size) {
+                let sender = link.photos(from);
+                let victim = link.photos(to).ids().rev().find(|id| {
                     !keep.contains(id) && (!peer_keep.contains(id) || sender.contains(*id))
                 });
                 match victim {
                     Some(v) => {
-                        receiver.remove(v);
+                        link.evict(to, v);
                         out.photos_evicted += 1;
                     }
                     None => break,
                 }
             }
-            if receiver.total_size() + photo.size > cap {
+            if !link.has_room(to, t.size) {
                 // Blocked on a spared photo (or on the receiver's own
                 // selected set): retry after the rest of the plan.
                 deferred.push(*t);
                 continue;
             }
-            budget -= photo.size;
-            out.bytes_transferred += photo.size;
-            match link(t) {
+            let Some(fate) = link.transmit(t) else {
+                continue;
+            };
+            out.bytes_transferred += t.size;
+            match fate {
                 TransferFate::Intact => {
-                    receiver.insert(photo);
                     out.photos_transferred += 1;
                     progressed = true;
                 }
@@ -317,7 +351,11 @@ mod tests {
         let mut b = collection(&[(2, 10)]);
         let r = result(&[1, 2], &[1], true);
         let plan = plan_transfers(&r, &a, &b);
-        let out = execute_plan(&plan, &r, &mut a, 100, &mut b, 100, 1000);
+        let out = execute_plan(
+            &plan,
+            &r,
+            &mut PairLink::new(&mut a, 100, &mut b, 100, 1000),
+        );
         assert!(a.contains(PhotoId(2)));
         assert!(b.contains(PhotoId(1)));
         assert_eq!(out.photos_transferred, 2);
@@ -331,7 +369,7 @@ mod tests {
         let mut b = collection(&[(1, 10), (2, 10), (3, 10)]);
         let r = result(&[1, 2, 3], &[], true);
         let plan = plan_transfers(&r, &a, &b);
-        let out = execute_plan(&plan, &r, &mut a, 100, &mut b, 100, 25);
+        let out = execute_plan(&plan, &r, &mut PairLink::new(&mut a, 100, &mut b, 100, 25));
         // Only the first two fit the 25-byte budget.
         assert!(a.contains(PhotoId(1)) && a.contains(PhotoId(2)));
         assert!(!a.contains(PhotoId(3)));
@@ -347,7 +385,7 @@ mod tests {
         let mut b = collection(&[(1, 10)]);
         let r = result(&[1], &[], true);
         let plan = plan_transfers(&r, &a, &b);
-        let out = execute_plan(&plan, &r, &mut a, 10, &mut b, 100, 1000);
+        let out = execute_plan(&plan, &r, &mut PairLink::new(&mut a, 10, &mut b, 100, 1000));
         assert!(a.contains(PhotoId(1)));
         assert!(!a.contains(PhotoId(9)));
         assert_eq!(out.photos_evicted, 1);
@@ -361,7 +399,7 @@ mod tests {
         let mut b = collection(&[(2, 10)]);
         let r = result(&[1, 2], &[], true);
         let plan = plan_transfers(&r, &a, &b);
-        let out = execute_plan(&plan, &r, &mut a, 10, &mut b, 100, 1000);
+        let out = execute_plan(&plan, &r, &mut PairLink::new(&mut a, 10, &mut b, 100, 1000));
         assert!(a.contains(PhotoId(1)));
         assert!(!a.contains(PhotoId(2)));
         assert_eq!(out.photos_evicted, 0);
@@ -377,8 +415,39 @@ mod tests {
         let r = result(&[42], &[], true);
         let plan = plan_transfers(&r, &a, &b);
         assert!(plan.steps.is_empty());
-        let out = execute_plan(&plan, &r, &mut a, 10, &mut b, 10, 10);
+        let out = execute_plan(&plan, &r, &mut PairLink::new(&mut a, 10, &mut b, 10, 10));
         assert_eq!(out, ContactOutcome::default());
+    }
+
+    /// A link whose fates come from a script; lost and corrupt
+    /// transmissions still burn their bytes.
+    struct Scripted<'a> {
+        link: PairLink<'a>,
+        fates: Vec<TransferFate>,
+        budget: u64,
+    }
+
+    impl ContactLink for Scripted<'_> {
+        fn photos(&self, a: bool) -> &PhotoCollection {
+            self.link.photos(a)
+        }
+        fn has_room(&self, a: bool, size: u64) -> bool {
+            self.link.has_room(a, size)
+        }
+        fn bytes_left(&self) -> u64 {
+            self.budget
+        }
+        fn evict(&mut self, a: bool, id: PhotoId) {
+            self.link.evict(a, id);
+        }
+        fn transmit(&mut self, t: &Transfer) -> Option<TransferFate> {
+            self.budget = self.budget.checked_sub(t.size)?;
+            let fate = self.fates.remove(0);
+            if fate.arrived() {
+                self.link.transmit(t)?;
+            }
+            Some(fate)
+        }
     }
 
     #[test]
@@ -388,15 +457,16 @@ mod tests {
         let r = result(&[1, 2, 3], &[], true);
         let plan = plan_transfers(&r, &a, &b);
         // Lose the first transfer, corrupt the second, let the third pass.
-        let mut step = 0;
-        let out = execute_plan_with(&plan, &r, &mut a, 100, &mut b, 100, 25, |_| {
-            step += 1;
-            match step {
-                1 => TransferFate::Lost,
-                2 => TransferFate::Corrupt,
-                _ => TransferFate::Intact,
-            }
-        });
+        let mut link = Scripted {
+            link: PairLink::new(&mut a, 100, &mut b, 100, u64::MAX),
+            fates: vec![
+                TransferFate::Lost,
+                TransferFate::Corrupt,
+                TransferFate::Intact,
+            ],
+            budget: 25,
+        };
+        let out = execute_plan(&plan, &r, &mut link);
         // 25-byte budget: two failed 10-byte sends leave room for nothing
         // more — the clean third transfer no longer fits.
         assert_eq!(out.photos_lost, 1);
@@ -413,11 +483,18 @@ mod tests {
         let r = result(&[1, 2], &[1], true);
         let (mut a1, mut b1) = build();
         let plan = plan_transfers(&r, &a1, &b1);
-        let plain = execute_plan(&plan, &r, &mut a1, 100, &mut b1, 100, 1000);
+        let plain = execute_plan(
+            &plan,
+            &r,
+            &mut PairLink::new(&mut a1, 100, &mut b1, 100, 1000),
+        );
         let (mut a2, mut b2) = build();
-        let with = execute_plan_with(&plan, &r, &mut a2, 100, &mut b2, 100, 1000, |_| {
-            TransferFate::Intact
-        });
+        let mut scripted = Scripted {
+            link: PairLink::new(&mut a2, 100, &mut b2, 100, u64::MAX),
+            fates: vec![TransferFate::Intact; plan.steps.len()],
+            budget: 1000,
+        };
+        let with = execute_plan(&plan, &r, &mut scripted);
         assert_eq!(plain, with);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
@@ -429,7 +506,7 @@ mod tests {
         let mut b = collection(&[(1, 10)]);
         let r = result(&[1], &[], true);
         let plan = plan_transfers(&r, &a, &b);
-        let out = execute_plan(&plan, &r, &mut a, 100, &mut b, 100, 0);
+        let out = execute_plan(&plan, &r, &mut PairLink::new(&mut a, 100, &mut b, 100, 0));
         assert_eq!(out.photos_transferred, 0);
         assert!(out.truncated);
         assert!(b.contains(PhotoId(1)));

@@ -3,7 +3,7 @@
 //! hold, and photos the plan selected are never evicted.
 
 use photodtn_core::selection::SelectionResult;
-use photodtn_core::transmission::{execute_plan, plan_transfers};
+use photodtn_core::transmission::{execute_plan, plan_transfers, PairLink};
 use photodtn_coverage::{Coverage, Photo, PhotoCollection, PhotoId, PhotoMeta};
 use photodtn_geo::{Angle, Point};
 use proptest::prelude::*;
@@ -60,7 +60,8 @@ proptest! {
         let mut a = a0.clone();
         let mut b = b0.clone();
         let plan = plan_transfers(&result, &a, &b);
-        let out = execute_plan(&plan, &result, &mut a, cap_a, &mut b, cap_b, budget);
+        let mut link = PairLink::new(&mut a, cap_a, &mut b, cap_b, budget);
+        let out = execute_plan(&plan, &result, &mut link);
 
         // capacities hold afterwards
         prop_assert!(a.total_size() <= cap_a, "a over capacity");
@@ -91,7 +92,8 @@ proptest! {
         let mut a = a0.clone();
         let mut b = b0.clone();
         let plan = plan_transfers(&result, &a, &b);
-        let out = execute_plan(&plan, &result, &mut a, cap_a, &mut b, cap_b, u64::MAX);
+        let mut link = PairLink::new(&mut a, cap_a, &mut b, cap_b, u64::MAX);
+        let out = execute_plan(&plan, &result, &mut link);
         prop_assert!(!out.truncated);
         // Every selected photo that exists in the pool ends up on its
         // node — except in the documented mutual-swap deadlock, where the
@@ -132,9 +134,11 @@ proptest! {
         // what a larger budget transfers
         let plan = plan_transfers(&result, &a0, &b0);
         let (mut a1, mut b1) = (a0.clone(), b0.clone());
-        let small = execute_plan(&plan, &result, &mut a1, cap_a, &mut b1, cap_b, budget);
+        let mut link = PairLink::new(&mut a1, cap_a, &mut b1, cap_b, budget);
+        let small = execute_plan(&plan, &result, &mut link);
         let (mut a2, mut b2) = (a0.clone(), b0.clone());
-        let large = execute_plan(&plan, &result, &mut a2, cap_a, &mut b2, cap_b, budget.saturating_add(8));
+        let mut link = PairLink::new(&mut a2, cap_a, &mut b2, cap_b, budget.saturating_add(8));
+        let large = execute_plan(&plan, &result, &mut link);
         prop_assert!(small.photos_transferred <= large.photos_transferred);
         prop_assert!(small.bytes_transferred <= large.bytes_transferred);
     }

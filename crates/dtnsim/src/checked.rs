@@ -20,9 +20,9 @@ use crate::{Scheme, SimCtx};
 /// * no photo that existed *only* in a crashed node's wiped buffer is
 ///   ever delivered afterwards — delivery from beyond the grave would
 ///   mean a scheme (or the engine) resurrected destroyed data. Corrupt
-///   transmissions are discarded before [`SimCtx::deliver`] runs, so the
-///   growth check also guarantees no corrupt photo enters the command
-///   center's collection.
+///   uploads are discarded inside [`SimCtx::upload`], so the growth check
+///   also guarantees no corrupt photo enters the command center's
+///   collection.
 ///
 /// # Panics
 ///
@@ -229,7 +229,8 @@ mod tests {
                 "hoarder"
             }
             fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-                ctx.collection_mut(node).insert(photo); // never evicts
+                // Bypasses the link, which would refuse: never evicts.
+                ctx.collections[node.index()].insert(photo);
             }
             fn on_contact(&mut self, _: &mut SimCtx, _: NodeId, _: NodeId, _: u64) {}
             fn on_upload(&mut self, _: &mut SimCtx, _: NodeId, _: u64) {}

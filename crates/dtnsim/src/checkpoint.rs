@@ -1,5 +1,6 @@
 //! Mid-run checkpoint/restore: crash-consistent snapshots of a single
-//! long simulation, resumable to a byte-identical [`SimResult`].
+//! long simulation, resumable to a byte-identical
+//! [`SimResult`](crate::SimResult).
 //!
 //! PR 6 made the *sweep grid* crash-tolerant at cell granularity; this
 //! module makes one big cell durable *within* the run. A snapshot
@@ -10,7 +11,7 @@
 //! * per-node photo buffers and the command center's collection/profile;
 //! * the live PROPHET tables;
 //! * fault-injection state (`down` mask + counters — the fault RNG
-//!   itself needs nothing, because [`FaultState::begin_event`] re-keys
+//!   itself needs nothing, because `FaultState::begin_event` re-keys
 //!   it from the event sequence number at every event boundary, and
 //!   snapshots are only ever cut at event boundaries);
 //! * the scheme-visible RNG position (a draw count; the stream is a
@@ -20,7 +21,7 @@
 //! * the trace sequence position, so a resumed `--trace-out` run can
 //!   truncate-and-append into the same JSONL file;
 //! * the scheme's global protocol state
-//!   ([`Scheme::export_global_state`](crate::Scheme::export_global_state)).
+//!   ([`Scheme::export_global_state`]).
 //!
 //! Everything *derived* — the coverage-table cache, selection engines,
 //! upload bases, the spatial grid — is deliberately rebuilt, not

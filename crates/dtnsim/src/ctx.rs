@@ -80,6 +80,11 @@ impl rand::RngCore for SchemeRng {
 /// coverage profile), PROPHET state, and the simulation clock. Schemes
 /// keep their protocol-specific state (metadata caches, spray counters,
 /// …) on their side, keyed by [`NodeId`].
+///
+/// Photos move only through [`send`](Self::send), [`upload`](Self::upload)
+/// and [`evict`](Self::evict), over the link the engine opens around the
+/// running hook. The link owns the hook's remaining bytes, so budgets,
+/// storage limits and fault rolls hold by construction.
 #[derive(Debug)]
 pub struct SimCtx {
     pub(crate) pois: Arc<PoiList>,
@@ -107,10 +112,46 @@ pub struct SimCtx {
     pub(crate) faults: FaultState,
     /// Per-run trace emission front end (inert without a sink).
     pub(crate) tracer: Tracer,
+    /// Whether links enforce byte budgets and storage limits: the running
+    /// scheme's [`respects_storage`](crate::Scheme::respects_storage).
+    pub(crate) constrained: bool,
+    /// The link of the running hook ([`Link::Closed`] between hooks).
+    pub(crate) link: Link,
 }
 
-/// What happened to one photo uploaded through
-/// [`SimCtx::upload_photo`].
+/// The nodes the running hook may move photos between, and the bytes its
+/// link has left. The engine opens one around each hook and closes it
+/// afterwards; it never outlives an event, so snapshots never hold one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Link {
+    /// No hook that moves photos is running.
+    Closed,
+    /// `on_photo_generated` at this node: it may only evict.
+    Generate(NodeId),
+    /// `on_contact` between `a` and `b`.
+    Contact { a: NodeId, b: NodeId, left: u64 },
+    /// `on_upload` from `node` to the command center.
+    Uplink { node: NodeId, left: u64 },
+}
+
+/// Why [`SimCtx::send`] or [`SimCtx::upload`] moved nothing. A refusal
+/// charges no bytes, rolls no fault and changes no collection. The
+/// variants are listed in the order the checks run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The nodes are not the running hook's link (or none is open).
+    OffLink,
+    /// The sender does not hold the photo.
+    NotHeld,
+    /// The receiving node already holds the photo.
+    AlreadyHeld,
+    /// The link has fewer bytes left than the photo's size.
+    NoBudget,
+    /// The receiving node's storage has no room for the photo.
+    NoRoom,
+}
+
+/// What happened to one photo uploaded through [`SimCtx::upload`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
 pub enum UploadOutcome {
     /// The photo arrived and was new to the command center.
@@ -201,39 +242,12 @@ impl SimCtx {
         &self.collections[node.index()]
     }
 
-    /// Mutable access to a participant's photo collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn collection_mut(&mut self, node: NodeId) -> &mut PhotoCollection {
-        &mut self.collections[node.index()]
-    }
-
-    /// Mutable access to two distinct participants' collections at once
-    /// (the common case during a contact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either is out of range.
-    pub fn collections_pair_mut(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> (&mut PhotoCollection, &mut PhotoCollection) {
-        assert!(a != b, "a contact needs two distinct nodes");
-        let (lo, hi) = if a < b {
-            (a.index(), b.index())
-        } else {
-            (b.index(), a.index())
-        };
-        let (left, right) = self.collections.split_at_mut(hi);
-        let (first, second) = (&mut left[lo], &mut right[0]);
-        if a < b {
-            (first, second)
-        } else {
-            (second, first)
-        }
+    /// Whether `node` can store `size` more bytes (always, for a scheme
+    /// that does not [`respects_storage`](crate::Scheme::respects_storage)).
+    #[must_use]
+    pub fn has_room(&self, node: NodeId, size: u64) -> bool {
+        !self.constrained
+            || self.collections[node.index()].total_size() + size <= self.storage_bytes
     }
 
     /// Photos the command center has received so far.
@@ -261,58 +275,93 @@ impl SimCtx {
         &self.faults
     }
 
-    /// Rolls the fate of one photo transmission over a DTN contact link.
-    ///
-    /// Schemes call this once per photo they transmit during
-    /// [`on_contact`](crate::Scheme::on_contact); a non-
-    /// [`Intact`](TransferFate::Intact) fate means the bytes were spent
-    /// but the photo must not be stored at the receiver. When faults are
-    /// disabled this always returns `Intact` without consuming
-    /// randomness. For planner-driven schemes prefer
-    /// [`faults_and_pair_mut`](Self::faults_and_pair_mut) +
-    /// [`execute_plan_with`](photodtn_core::transmission::execute_plan_with).
-    pub fn contact_transfer(&mut self) -> TransferFate {
-        self.faults.roll_transfer()
-    }
-
-    /// Mutable access to the fault state *and* two distinct participants'
-    /// collections at once, so a scheme can feed
-    /// [`FaultState::roll_transfer`] into
-    /// [`execute_plan_with`](photodtn_core::transmission::execute_plan_with)
-    /// while both collections are borrowed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == b` or either is out of range.
-    pub fn faults_and_pair_mut(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-    ) -> (&mut FaultState, &mut PhotoCollection, &mut PhotoCollection) {
-        assert!(a != b, "a contact needs two distinct nodes");
-        let (lo, hi) = if a < b {
-            (a.index(), b.index())
-        } else {
-            (b.index(), a.index())
-        };
-        let (left, right) = self.collections.split_at_mut(hi);
-        let (first, second) = (&mut left[lo], &mut right[0]);
-        if a < b {
-            (&mut self.faults, first, second)
-        } else {
-            (&mut self.faults, second, first)
+    /// Bytes the running hook's link can still carry (0 when none is
+    /// open).
+    #[must_use]
+    pub fn bytes_left(&self) -> u64 {
+        match self.link {
+            Link::Contact { left, .. } | Link::Uplink { left, .. } => left,
+            Link::Closed | Link::Generate(_) => 0,
         }
     }
 
-    /// Uploads one photo to the command center over a (possibly faulty)
-    /// uplink, rolling its transmission fate first.
+    /// Transmits photo `id` from `src` to `dst` over the running contact.
     ///
-    /// Lost and corrupt uploads burn the bandwidth the caller charged but
-    /// never reach the command center's collection. Use
-    /// [`UploadOutcome::acked`] to decide whether the local copy may be
-    /// dropped.
-    pub fn upload_photo(&mut self, photo: Photo) -> UploadOutcome {
-        match self.faults.roll_transfer() {
+    /// Refuses, in this order, when `(src, dst)` is not the contact's pair,
+    /// `src` lacks the photo, `dst` already holds it, the link has too few
+    /// bytes left, or `dst` has no room. Otherwise charges the photo's
+    /// bytes, rolls its fate once, and stores it at `dst` if it arrived
+    /// intact; lost and corrupt transmissions burn the bytes and store
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// The [`Refusal`] that stopped the transmission.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, id: PhotoId) -> Result<TransferFate, Refusal> {
+        let Link::Contact { a, b, left } = self.link else {
+            return Err(Refusal::OffLink);
+        };
+        if (src, dst) != (a, b) && (src, dst) != (b, a) {
+            return Err(Refusal::OffLink);
+        }
+        let photo = *self.collections[src.index()]
+            .get(id)
+            .ok_or(Refusal::NotHeld)?;
+        if self.collections[dst.index()].contains(id) {
+            return Err(Refusal::AlreadyHeld);
+        }
+        if photo.size > left {
+            return Err(Refusal::NoBudget);
+        }
+        if !self.has_room(dst, photo.size) {
+            return Err(Refusal::NoRoom);
+        }
+        self.link = Link::Contact {
+            a,
+            b,
+            left: left - photo.size,
+        };
+        let fate = self.faults.roll_transfer();
+        if fate.arrived() {
+            self.collections[dst.index()].insert(photo);
+        }
+        Ok(fate)
+    }
+
+    /// Uploads photo `id` from `node` over the running uplink window.
+    ///
+    /// Refuses, in this order, when `node` is not the window's node, lacks
+    /// the photo, or the window has too few bytes left. Otherwise charges
+    /// the photo's bytes (to the window and to
+    /// [`uploaded_bytes`](Self::uploaded_bytes)), rolls its fate once, and
+    /// delivers it if it arrived intact. A photo the command center already
+    /// holds is sent all the same — the node cannot know — and comes back
+    /// [`Duplicate`](UploadOutcome::Duplicate). The local copy stays; drop
+    /// it with [`evict`](Self::evict) once the outcome is
+    /// [`acked`](UploadOutcome::acked).
+    ///
+    /// # Errors
+    ///
+    /// The [`Refusal`] that stopped the upload.
+    pub fn upload(&mut self, node: NodeId, id: PhotoId) -> Result<UploadOutcome, Refusal> {
+        let Link::Uplink { node: up, left } = self.link else {
+            return Err(Refusal::OffLink);
+        };
+        if node != up {
+            return Err(Refusal::OffLink);
+        }
+        let photo = *self.collections[node.index()]
+            .get(id)
+            .ok_or(Refusal::NotHeld)?;
+        if photo.size > left {
+            return Err(Refusal::NoBudget);
+        }
+        self.link = Link::Uplink {
+            node,
+            left: left - photo.size,
+        };
+        self.uploaded_bytes += photo.size;
+        Ok(match self.faults.roll_transfer() {
             TransferFate::Lost => UploadOutcome::Lost,
             TransferFate::Corrupt => UploadOutcome::Corrupt,
             TransferFate::Intact => {
@@ -322,13 +371,24 @@ impl SimCtx {
                     UploadOutcome::Duplicate
                 }
             }
-        }
+        })
+    }
+
+    /// Drops photo `id` from `node`'s storage. Returns `false`, changing
+    /// nothing, when `node` is not one of the running hook's nodes or does
+    /// not hold the photo.
+    pub fn evict(&mut self, node: NodeId, id: PhotoId) -> bool {
+        let on_link = match self.link {
+            Link::Closed => false,
+            Link::Generate(n) | Link::Uplink { node: n, .. } => n == node,
+            Link::Contact { a, b, .. } => node == a || node == b,
+        };
+        on_link && self.collections[node.index()].remove(id).is_some()
     }
 
     /// Delivers a photo to the command center. Returns `false` if it was
-    /// already delivered (duplicates are ignored but still cost the
-    /// uplink bandwidth the scheme spent on them).
-    pub fn deliver(&mut self, photo: Photo) -> bool {
+    /// already delivered.
+    pub(crate) fn deliver(&mut self, photo: Photo) -> bool {
         if self.cc_received.insert(photo) {
             self.cc_profile.add(&photo.meta);
             let latency = (self.now - photo.taken_at).max(0.0);
@@ -383,17 +443,12 @@ impl SimCtx {
         &self.gateways
     }
 
-    /// Total bytes schemes reported over the uplink (via
-    /// [`note_upload_bytes`](Self::note_upload_bytes)).
+    /// Total bytes sent over uplinks so far: every
+    /// [`upload`](Self::upload) that was not refused, lost and duplicate
+    /// ones included.
     #[must_use]
     pub fn uploaded_bytes(&self) -> u64 {
         self.uploaded_bytes
-    }
-
-    /// Accounts bytes spent on the uplink (delivered *and* duplicate
-    /// transmissions).
-    pub fn note_upload_bytes(&mut self, bytes: u64) {
-        self.uploaded_bytes += bytes;
     }
 
     /// Accounts bytes spent exchanging *metadata* — the paper argues

@@ -13,7 +13,7 @@ use photodtn_coverage::{
 use photodtn_prophet::ProphetRouter;
 
 use crate::checkpoint::{self, CheckpointError, CheckpointPayload, CheckpointPolicy};
-use crate::ctx::SchemeRng;
+use crate::ctx::{Link, SchemeRng};
 use crate::faults::{FaultPlan, FaultState};
 use crate::queue::{EventKind, EventQueue, ScheduledEvent};
 use crate::trace::{TraceEvent, TraceSink, Tracer};
@@ -593,6 +593,8 @@ impl Simulation {
             metadata_bytes: 0,
             faults: FaultState::new(self.config.faults, self.num_participants, self.seed),
             tracer: Tracer::new(self.trace_sink.take()),
+            constrained: scheme.respects_storage(),
+            link: Link::Closed,
         };
         let resume = self.resume.take();
         if resume.is_none() {
@@ -815,7 +817,13 @@ fn process_event<S: Scheme + ?Sized>(
                 });
                 return;
             }
+            ctx.link = Link::Generate(*node);
             scheme.on_photo_generated(ctx, *node, *photo);
+            ctx.link = Link::Closed;
+            // The hook only makes room: the photo is stored iff it fits.
+            if ctx.has_room(*node, photo.size) {
+                ctx.collections[node.index()].insert(*photo);
+            }
             if ctx.tracer.enabled() {
                 let stored = ctx.collection(*node).contains(photo.id);
                 let (node, photo_id, size) = (node.0, photo.id.0, photo.size);
@@ -827,12 +835,6 @@ fn process_event<S: Scheme + ?Sized>(
                     stored,
                 });
             }
-            debug_assert!(
-                !scheme.respects_storage()
-                    || ctx.collection(*node).total_size() <= ctx.storage_bytes,
-                "{} exceeded storage after generation",
-                node
-            );
         }
         EventKind::Contact(a, b, dur) => {
             // A contact with a crashed endpoint never happens —
@@ -871,7 +873,10 @@ fn process_event<S: Scheme + ?Sized>(
                 ctx.faults.stats.transfers_lost,
                 ctx.faults.stats.transfers_corrupt,
             ));
+            let left = if ctx.constrained { budget } else { u64::MAX };
+            ctx.link = Link::Contact { a: *a, b: *b, left };
             scheme.on_contact(ctx, *a, *b, budget);
+            ctx.link = Link::Closed;
             if let Some((md, lost, corrupt)) = before {
                 let metadata_bytes = ctx.metadata_bytes - md;
                 let transfers_lost = ctx.faults.stats.transfers_lost - lost;
@@ -938,7 +943,10 @@ fn process_event<S: Scheme + ?Sized>(
                     ctx.faults.stats.transfers_corrupt,
                 )
             });
+            let left = if ctx.constrained { budget } else { u64::MAX };
+            ctx.link = Link::Uplink { node: *node, left };
             scheme.on_upload(ctx, *node, budget);
+            ctx.link = Link::Closed;
             if let Some((bytes, delivered, lost, corrupt)) = before {
                 let bytes = ctx.uploaded_bytes - bytes;
                 let delivered = ctx.cc_received.len() as u64 - delivered;

@@ -248,10 +248,10 @@ pub struct FaultStats {
 /// The per-run mutable fault state: the injector's RNG stream, each
 /// node's up/down status, and the running [`FaultStats`].
 ///
-/// Lives in [`SimCtx`](crate::SimCtx) as a field disjoint from the photo
-/// collections, so schemes can hold `&mut FaultState` alongside mutable
-/// collection borrows (see
-/// [`SimCtx::faults_and_pair_mut`](crate::SimCtx::faults_and_pair_mut)).
+/// Lives in [`SimCtx`](crate::SimCtx). Schemes read it through
+/// [`SimCtx::faults`](crate::SimCtx::faults); only
+/// [`SimCtx::send`](crate::SimCtx::send) and
+/// [`SimCtx::upload`](crate::SimCtx::upload) roll transfer fates.
 #[derive(Debug)]
 pub struct FaultState {
     config: FaultConfig,
@@ -341,7 +341,7 @@ impl FaultState {
     /// [`TransferFate::Intact`] — while both transfer-fault rates are
     /// zero, so fault-free runs are bit-identical to a build without the
     /// injector.
-    pub fn roll_transfer(&mut self) -> TransferFate {
+    pub(crate) fn roll_transfer(&mut self) -> TransferFate {
         let loss = self.config.transfer_loss_prob;
         let corrupt = self.config.transfer_corrupt_prob;
         if loss <= 0.0 && corrupt <= 0.0 {

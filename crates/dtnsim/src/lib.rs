@@ -56,7 +56,7 @@ pub mod trace;
 pub use checked::Checked;
 pub use checkpoint::{CheckpointError, CheckpointPayload, CheckpointPolicy};
 pub use config::{CommandCenterMode, SimConfig};
-pub use ctx::{SchemeRng, SimCtx, UploadOutcome};
+pub use ctx::{Refusal, SchemeRng, SimCtx, UploadOutcome};
 pub use engine::{SimBuildError, Simulation};
 pub use faults::{FaultConfig, FaultPlan, FaultState, FaultStats};
 pub use metrics::{MetricSample, RunStats, SimResult};

@@ -1,7 +1,7 @@
 //! The routing-scheme interface, plus the unconstrained reference scheme.
 
 use photodtn_contacts::NodeId;
-use photodtn_coverage::Photo;
+use photodtn_coverage::{Photo, PhotoId};
 
 use crate::SimCtx;
 
@@ -9,16 +9,18 @@ use crate::SimCtx;
 ///
 /// The engine calls the hooks in event order; all world state lives in
 /// [`SimCtx`], protocol state lives in the implementor. Budgets are byte
-/// counts (`bandwidth × usable contact duration`); a scheme must not move
-/// more than its budget in one event — the metrics would silently
-/// overstate its performance otherwise.
+/// counts (`bandwidth × usable contact duration`). A hook moves photos
+/// only through [`SimCtx::send`], [`SimCtx::upload`] and
+/// [`SimCtx::evict`], over a link that holds the event's budget and
+/// refuses anything past it.
 pub trait Scheme {
     /// Short identifier used in experiment output (e.g. `"ours"`).
     fn name(&self) -> &'static str;
 
-    /// Whether the scheme promises to honor per-node storage limits.
-    /// Constrained schemes (the default) are checked by a debug
-    /// assertion in the engine; the BestPossible upper bound opts out.
+    /// Whether the scheme is bound by the paper's resource limits:
+    /// per-node storage and each link's byte budget. Constrained schemes
+    /// (the default) have both enforced by [`SimCtx`]'s links; the
+    /// BestPossible upper bound opts out of both.
     fn respects_storage(&self) -> bool {
         true
     }
@@ -26,17 +28,17 @@ pub trait Scheme {
     /// Called once before the first event.
     fn on_init(&mut self, _ctx: &mut SimCtx) {}
 
-    /// `node` just took `photo`. The scheme decides whether/what to store
-    /// (typically inserting it, evicting something if storage is full).
-    fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo);
+    /// `node` just took `photo`. The scheme may [`evict`](SimCtx::evict)
+    /// from `node` to make room; the engine then stores the photo iff it
+    /// fits. The default evicts nothing.
+    fn on_photo_generated(&mut self, _ctx: &mut SimCtx, _node: NodeId, _photo: Photo) {}
 
-    /// Nodes `a` and `b` are in contact with `budget` transferable bytes.
+    /// Nodes `a` and `b` are in contact with `budget` transferable bytes,
+    /// which [`SimCtx::send`] charges.
     fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64);
 
     /// `node` has an uplink window to the command center with `budget`
-    /// transferable bytes. Deliver photos with
-    /// [`SimCtx::deliver`]; account spent bytes with
-    /// [`SimCtx::note_upload_bytes`].
+    /// transferable bytes, which [`SimCtx::upload`] charges.
     fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64);
 
     /// `node` is about to crash (fault injection): the engine will wipe
@@ -132,36 +134,24 @@ impl Scheme for FloodScheme {
         false
     }
 
-    fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        ctx.collection_mut(node).insert(photo);
-    }
-
     fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         // Unconstrained by storage and bandwidth, but still subject to
         // the physical link: lost/corrupt transmissions don't arrive.
-        let (faults, ca, cb) = ctx.faults_and_pair_mut(a, b);
-        let from_a: Vec<Photo> = ca.iter().copied().collect();
-        let from_b: Vec<Photo> = cb.iter().copied().collect();
-        for p in from_b {
-            if !ca.contains(p.id) && faults.roll_transfer().arrived() {
-                ca.insert(p);
-            }
+        let from_a: Vec<PhotoId> = ctx.collection(a).ids().collect();
+        let from_b: Vec<PhotoId> = ctx.collection(b).ids().collect();
+        for id in from_b {
+            let _ = ctx.send(b, a, id);
         }
-        for p in from_a {
-            if !cb.contains(p.id) && faults.roll_transfer().arrived() {
-                cb.insert(p);
-            }
+        for id in from_a {
+            let _ = ctx.send(a, b, id);
         }
     }
 
     fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
-        let photos: Vec<Photo> = ctx.collection(node).iter().copied().collect();
-        let mut bytes = 0;
-        for p in photos {
-            bytes += p.size;
-            ctx.upload_photo(p);
+        let photos: Vec<PhotoId> = ctx.collection(node).ids().collect();
+        for id in photos {
+            let _ = ctx.upload(node, id);
         }
-        ctx.note_upload_bytes(bytes);
     }
 
     fn export_global_state(&self) -> Option<String> {

@@ -148,7 +148,7 @@ fn maximum_intensity_is_survivable() {
 #[test]
 fn budget_cut_realizes_exactly_a_plan_prefix() {
     use photodtn_core::selection::{SelectionResult, SelectionStats};
-    use photodtn_core::transmission::{execute_plan, plan_transfers};
+    use photodtn_core::transmission::{execute_plan, plan_transfers, PairLink};
     use photodtn_coverage::{Coverage, Photo, PhotoCollection, PhotoId, PhotoMeta};
     use photodtn_geo::{Angle, Point};
 
@@ -176,7 +176,11 @@ fn budget_cut_realizes_exactly_a_plan_prefix() {
     for budget in 0u64..=55 {
         let mut a = PhotoCollection::new();
         let mut b = b_full.clone();
-        let out = execute_plan(&plan, &selection, &mut a, 1000, &mut b, 1000, budget);
+        let out = execute_plan(
+            &plan,
+            &selection,
+            &mut PairLink::new(&mut a, 1000, &mut b, 1000, budget),
+        );
         let prefix_len = (budget / 10).min(5) as usize;
         assert_eq!(a.len(), prefix_len, "budget {budget}");
         for (i, step) in plan.steps.iter().enumerate() {

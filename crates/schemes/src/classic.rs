@@ -4,8 +4,10 @@
 //! maximally under the resource limits; DirectDelivery never relays.
 
 use photodtn_contacts::NodeId;
-use photodtn_coverage::Photo;
+use photodtn_coverage::{Photo, PhotoId};
 use photodtn_sim::{Scheme, SimCtx};
+
+use crate::rules::{evict_oldest, relay_missing, upload_in_order};
 
 /// Storage- and bandwidth-constrained epidemic routing: at every contact,
 /// both nodes copy everything the other lacks (photo-id order) while the
@@ -31,56 +33,17 @@ impl Scheme for Epidemic {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        let capacity = ctx.storage_bytes();
-        let collection = ctx.collection_mut(node);
-        while collection.total_size() + photo.size > capacity {
-            let Some(oldest) = collection.ids().next() else {
-                return;
-            };
-            collection.remove(oldest);
-        }
-        collection.insert(photo);
+        evict_oldest(ctx, node, photo.size, |_| {});
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
-        let mut remaining = budget;
-        for (src, dst) in [(a, b), (b, a)] {
-            let missing: Vec<Photo> = ctx
-                .collection(src)
-                .iter()
-                .filter(|p| !ctx.collection(dst).contains(p.id))
-                .copied()
-                .collect();
-            for photo in missing {
-                if photo.size > remaining {
-                    return;
-                }
-                if ctx.collection(dst).total_size() + photo.size > ctx.storage_bytes() {
-                    continue; // receiver full: epidemic does not evict for peers
-                }
-                remaining -= photo.size;
-                if ctx.contact_transfer().arrived() {
-                    ctx.collection_mut(dst).insert(photo);
-                }
-            }
-        }
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
+        // A full receiver is skipped: epidemic does not evict for peers.
+        relay_missing(ctx, [(a, b), (b, a)]);
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let mut remaining = budget;
-        let mut bytes = 0;
-        let photos: Vec<Photo> = ctx.collection(node).iter().copied().collect();
-        for photo in photos {
-            if photo.size > remaining {
-                break;
-            }
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-            }
-            remaining -= photo.size;
-            bytes += photo.size;
-        }
-        ctx.note_upload_bytes(bytes);
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let photos: Vec<PhotoId> = ctx.collection(node).ids().collect();
+        upload_in_order(ctx, node, photos, |_| {});
     }
 
     fn export_global_state(&self) -> Option<String> {
@@ -114,36 +77,16 @@ impl Scheme for DirectDelivery {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        let capacity = ctx.storage_bytes();
-        let collection = ctx.collection_mut(node);
-        while collection.total_size() + photo.size > capacity {
-            let Some(oldest) = collection.ids().next() else {
-                return;
-            };
-            collection.remove(oldest);
-        }
-        collection.insert(photo);
+        evict_oldest(ctx, node, photo.size, |_| {});
     }
 
     fn on_contact(&mut self, _ctx: &mut SimCtx, _a: NodeId, _b: NodeId, _budget: u64) {
         // never relays
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let mut remaining = budget;
-        let mut bytes = 0;
-        let photos: Vec<Photo> = ctx.collection(node).iter().copied().collect();
-        for photo in photos {
-            if photo.size > remaining {
-                break;
-            }
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-            }
-            remaining -= photo.size;
-            bytes += photo.size;
-        }
-        ctx.note_upload_bytes(bytes);
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let photos: Vec<PhotoId> = ctx.collection(node).ids().collect();
+        upload_in_order(ctx, node, photos, |_| {});
     }
 
     fn export_global_state(&self) -> Option<String> {

@@ -23,8 +23,8 @@ mod classic;
 mod oracle;
 mod ours;
 mod photonet;
-pub mod policy;
 mod prophet_routing;
+mod rules;
 mod spray;
 mod upload_base;
 mod value;
@@ -36,21 +36,3 @@ pub use photodtn_sim::schemes_api::FloodScheme as BestPossible;
 pub use photonet::PhotoNet;
 pub use prophet_routing::ProphetRouting;
 pub use spray::{ModifiedSpray, SprayAndWait, SPRAY_COPIES};
-pub use value::PhotoValueCache;
-
-use photodtn_sim::Scheme;
-
-/// The scheme lineup of Fig. 5, in the paper's order.
-///
-/// Returns boxed trait objects so experiment drivers can iterate over the
-/// whole lineup uniformly.
-#[must_use]
-pub fn fig5_lineup() -> Vec<Box<dyn Scheme + Send>> {
-    vec![
-        Box::new(BestPossible),
-        Box::new(OurScheme::new()),
-        Box::new(OurScheme::no_metadata()),
-        Box::new(ModifiedSpray::new()),
-        Box::new(SprayAndWait::new()),
-    ]
-}

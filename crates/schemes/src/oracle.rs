@@ -28,6 +28,7 @@ use photodtn_contacts::NodeId;
 use photodtn_coverage::{Coverage, Photo, PhotoCoverage};
 use photodtn_sim::{Scheme, SimCtx};
 
+use crate::rules::relay_missing;
 use crate::upload_base::UploadBase;
 use crate::value::PhotoValueCache;
 
@@ -57,53 +58,18 @@ impl Scheme for CentralizedOracle {
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
         // Keep the per-node storage discipline of our scheme: evict the
         // lowest standalone-value photo under pressure.
-        let capacity = ctx.storage_bytes();
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let collection = ctx.collection_mut(node);
-        while collection.total_size() + photo.size > capacity {
-            let new_value = self.values.value(&photo, &pois, params);
-            let worst = collection
-                .iter()
-                .map(|p| (self.values.value(p, &pois, params), p.id))
-                .min();
-            match worst {
-                Some((value, id)) if (value, id) < (new_value, photo.id) => {
-                    collection.remove(id);
-                }
-                _ => return,
-            }
+        if !ctx.has_room(node, photo.size) {
+            self.values.evict_below(ctx, node, &photo, |_| {});
         }
-        collection.insert(photo);
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         // Epidemic relaying under the budget; the oracle's advantage is
         // at the uplink, not in routing.
-        let mut remaining = budget;
-        for (src, dst) in [(a, b), (b, a)] {
-            let missing: Vec<Photo> = ctx
-                .collection(src)
-                .iter()
-                .filter(|p| !ctx.collection(dst).contains(p.id))
-                .copied()
-                .collect();
-            for photo in missing {
-                if photo.size > remaining {
-                    return;
-                }
-                if ctx.collection(dst).total_size() + photo.size > ctx.storage_bytes() {
-                    continue;
-                }
-                remaining -= photo.size;
-                if ctx.contact_transfer().arrived() {
-                    ctx.collection_mut(dst).insert(photo);
-                }
-            }
-        }
+        relay_missing(ctx, [(a, b), (b, a)]);
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
         // The server knows exactly what it has and asks for the photos
         // with the highest marginal coverage, greedily. The server base
         // persists across windows behind a checkpoint; rollback discards
@@ -121,13 +87,11 @@ impl Scheme for CentralizedOracle {
             .collect();
         let mut taken = vec![false; photos.len()];
 
-        let mut remaining = budget;
-        let mut bytes = 0;
         loop {
             let candidate = photos
                 .iter()
                 .enumerate()
-                .filter(|(i, p)| !taken[*i] && p.size <= remaining)
+                .filter(|(i, p)| !taken[*i] && p.size <= ctx.bytes_left())
                 .map(|(i, p)| (engine.gain_of_indexed(server, &covs[i]), p.id, i))
                 .max_by(|(ga, ida, _), (gb, idb, _)| {
                     ga.point
@@ -142,13 +106,13 @@ impl Scheme for CentralizedOracle {
             let photo = photos[i];
             engine.commit_indexed(server, &covs[i], gain);
             taken[i] = true;
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
+            let Ok(outcome) = ctx.upload(node, photo.id) else {
+                break;
+            };
+            if outcome.acked() {
+                ctx.evict(node, photo.id);
             }
-            remaining -= photo.size;
-            bytes += photo.size;
         }
-        ctx.note_upload_bytes(bytes);
     }
 
     fn export_global_state(&self) -> Option<String> {

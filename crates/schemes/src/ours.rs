@@ -4,10 +4,12 @@ use std::sync::Arc;
 use photodtn_contacts::{NodeId, RateMatrix};
 use photodtn_core::expected::DeliveryNode;
 use photodtn_core::selection::{PeerState, SelectionInput, SelectionSession};
-use photodtn_core::transmission::{execute_plan_with, plan_transfers};
+use photodtn_core::transmission::{
+    execute_plan, plan_transfers, ContactLink, Transfer, TransferFate,
+};
 use photodtn_core::validity::ValidityModel;
 use photodtn_core::MetadataCache;
-use photodtn_coverage::{Photo, PhotoCoverage, PhotoId, PhotoMeta, PoiList};
+use photodtn_coverage::{Photo, PhotoCollection, PhotoCoverage, PhotoId, PhotoMeta, PoiList};
 use photodtn_sim::{Scheme, SimCtx, TraceEvent};
 
 use crate::upload_base::UploadBase;
@@ -66,7 +68,7 @@ impl OurScheme {
             validity: ValidityModel::paper_default(),
             caches: HashMap::new(),
             rates: RateMatrix::new(0.0),
-            values: PhotoValueCache::new(),
+            values: PhotoValueCache::default(),
             session: None,
             upload: UploadBase::default(),
         }
@@ -233,29 +235,15 @@ impl Scheme for OurScheme {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        let capacity = ctx.storage_bytes();
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let collection = ctx.collection_mut(node);
         // Make room by evicting the lowest standalone-coverage photo while
-        // the new one is worth more than the worst stored one.
-        while collection.total_size() + photo.size > capacity {
-            let new_value = self.values.value(&photo, &pois, params);
-            let worst = collection
-                .iter()
-                .map(|p| (self.values.value(p, &pois, params), p.id))
-                .min();
-            match worst {
-                Some((value, id)) if (value, id) < (new_value, photo.id) => {
-                    collection.remove(id);
-                }
-                _ => return, // the new photo is the least valuable: skip it
-            }
+        // the new one is worth more than the worst stored one. Photos are
+        // valued only under storage pressure.
+        if !ctx.has_room(node, photo.size) {
+            self.values.evict_below(ctx, node, &photo, |_| {});
         }
-        collection.insert(photo);
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         let now = ctx.now();
         self.rates.record(a, b, now);
 
@@ -295,22 +283,18 @@ impl Scheme for OurScheme {
                 commits: result.stats.commits,
             });
         }
-        let capacity = ctx.storage_bytes();
-        let (faults, ca, cb) = ctx.faults_and_pair_mut(a, b);
-        let plan = plan_transfers(&result, ca, cb);
+        let plan = plan_transfers(&result, ctx.collection(a), ctx.collection(b));
         // Transmit in selection order over the (possibly faulty) link:
         // lost/corrupt sends burn budget but never store (§III-D —
         // whatever prefix survives is still the most valuable one).
-        execute_plan_with(&plan, &result, ca, capacity, cb, capacity, budget, |_| {
-            faults.roll_transfer()
-        });
+        execute_plan(&plan, &result, &mut Sides { ctx, a, b });
 
         // Exchange metadata snapshots of the post-contact collections.
         self.exchange_metadata(ctx, a, b);
         self.exchange_metadata(ctx, b, a);
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
         let now = ctx.now();
 
         // Greedy marginal-gain order against what the command center has.
@@ -332,13 +316,11 @@ impl Scheme for OurScheme {
             .collect();
         let mut taken = vec![false; photos.len()];
 
-        let mut remaining = budget;
-        let mut bytes = 0u64;
         loop {
             let candidate = photos
                 .iter()
                 .enumerate()
-                .filter(|(i, p)| !taken[*i] && p.size <= remaining)
+                .filter(|(i, p)| !taken[*i] && p.size <= ctx.bytes_left())
                 .map(|(i, p)| (engine.gain_of_indexed(uploader, &covs[i]), p.id, i))
                 .max_by(|(ga, ida, _), (gb, idb, _)| {
                     ga.point
@@ -356,7 +338,9 @@ impl Scheme for OurScheme {
             // The uplink burns the bytes either way; only an acknowledged
             // arrival lets the node drop its local copy (§III-B — the
             // returned metadata is the acknowledgment).
-            let outcome = ctx.upload_photo(photo);
+            let Ok(outcome) = ctx.upload(node, photo.id) else {
+                break;
+            };
             if ctx.trace_enabled() {
                 ctx.trace(TraceEvent::UploadCommit {
                     t: now,
@@ -369,12 +353,9 @@ impl Scheme for OurScheme {
                 });
             }
             if outcome.acked() {
-                ctx.collection_mut(node).remove(photo.id);
+                ctx.evict(node, photo.id);
             }
-            remaining -= photo.size;
-            bytes += photo.size;
         }
-        ctx.note_upload_bytes(bytes);
 
         // The command center's metadata (acknowledgments) is cached with
         // λ = 0: always valid.
@@ -412,10 +393,50 @@ impl Scheme for OurScheme {
         self.caches = state.caches;
         self.rates = RateMatrix::from_snapshot(&state.rates);
         // Derived state restarts cold on purpose (DESIGN.md decision #14).
-        self.values = PhotoValueCache::new();
+        self.values = PhotoValueCache::default();
         self.session = None;
         self.upload = UploadBase::default();
         Ok(())
+    }
+}
+
+/// The running contact as the plan executor sees it: side `true` is `a`.
+struct Sides<'a> {
+    ctx: &'a mut SimCtx,
+    a: NodeId,
+    b: NodeId,
+}
+
+impl Sides<'_> {
+    fn node(&self, a: bool) -> NodeId {
+        if a {
+            self.a
+        } else {
+            self.b
+        }
+    }
+}
+
+impl ContactLink for Sides<'_> {
+    fn photos(&self, a: bool) -> &PhotoCollection {
+        self.ctx.collection(self.node(a))
+    }
+
+    fn has_room(&self, a: bool, size: u64) -> bool {
+        self.ctx.has_room(self.node(a), size)
+    }
+
+    fn bytes_left(&self) -> u64 {
+        self.ctx.bytes_left()
+    }
+
+    fn evict(&mut self, a: bool, id: PhotoId) {
+        self.ctx.evict(self.node(a), id);
+    }
+
+    fn transmit(&mut self, t: &Transfer) -> Option<TransferFate> {
+        let (src, dst) = (self.node(!t.to_a), self.node(t.to_a));
+        self.ctx.send(src, dst, t.photo).ok()
     }
 }
 
@@ -476,7 +497,8 @@ mod tests {
         let config = config().with_storage_bytes(20 * 1024 * 1024); // 5 photos
         let trace = trace();
         let mut sim = Simulation::new(&config, &trace, 2);
-        let _ = sim.run(&mut OurScheme::new()); // debug_assert in engine checks
+        // Checked asserts every node's storage after every hook.
+        let _ = sim.run(&mut photodtn_sim::Checked::new(OurScheme::new()));
     }
 
     #[test]

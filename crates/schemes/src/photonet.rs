@@ -1,6 +1,9 @@
 use photodtn_contacts::NodeId;
-use photodtn_coverage::{Photo, PhotoCollection};
+use photodtn_core::transmission::TransferFate;
+use photodtn_coverage::{Photo, PhotoCollection, PhotoId};
 use photodtn_sim::{Scheme, SimCtx};
+
+use crate::rules::make_room;
 
 /// PhotoNet-style diversity-driven picture delivery (the §IV-B baseline).
 ///
@@ -65,19 +68,17 @@ impl PhotoNet {
 
     /// Frees `need` bytes on `node` by evicting most-redundant photos, as
     /// long as they are more redundant than the incoming photo's novelty.
-    fn make_room(&self, ctx: &mut SimCtx, node: NodeId, need: u64, incoming_novelty: f64) -> bool {
-        let capacity = ctx.storage_bytes();
-        loop {
-            if ctx.collection(node).total_size() + need <= capacity {
-                return true;
-            }
-            match self.most_redundant(ctx.collection(node)) {
-                Some((novelty, victim)) if novelty < incoming_novelty => {
-                    ctx.collection_mut(node).remove(victim.id);
-                }
-                _ => return false,
-            }
-        }
+    fn evict_redundant(
+        &self,
+        ctx: &mut SimCtx,
+        node: NodeId,
+        need: u64,
+        incoming_novelty: f64,
+    ) -> bool {
+        make_room(ctx, node, need, |ctx| {
+            let (novelty, victim) = self.most_redundant(ctx.collection(node))?;
+            (novelty < incoming_novelty).then_some(victim.id)
+        })
     }
 }
 
@@ -94,27 +95,23 @@ impl Scheme for PhotoNet {
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
         let novelty = self.novelty(&photo, ctx.collection(node));
-        if !self.make_room(ctx, node, photo.size, novelty) {
-            return;
-        }
-        ctx.collection_mut(node).insert(photo);
+        self.evict_redundant(ctx, node, photo.size, novelty);
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
-        let mut remaining = budget;
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         for (src, dst) in [(a, b), (b, a)] {
             // Greedy max–min: repeatedly send the sender photo most novel
             // with respect to the receiver's *current* collection. Photos
             // whose transmission the link ate are not retried this
             // contact (they would be re-picked forever otherwise).
-            let mut failed: Vec<photodtn_coverage::PhotoId> = Vec::new();
+            let mut failed: Vec<PhotoId> = Vec::new();
             loop {
                 let candidate = ctx
                     .collection(src)
                     .iter()
                     .filter(|p| {
                         !ctx.collection(dst).contains(p.id)
-                            && p.size <= remaining
+                            && p.size <= ctx.bytes_left()
                             && !failed.contains(&p.id)
                     })
                     .map(|p| (self.novelty(p, ctx.collection(dst)), *p))
@@ -125,40 +122,36 @@ impl Scheme for PhotoNet {
                 if novelty <= 0.0 {
                     break; // receiver already has an identical-feature photo
                 }
-                if !self.make_room(ctx, dst, photo.size, novelty) {
+                if !self.evict_redundant(ctx, dst, photo.size, novelty) {
                     break;
                 }
-                remaining -= photo.size;
-                if ctx.contact_transfer().arrived() {
-                    ctx.collection_mut(dst).insert(photo);
-                } else {
+                if !ctx
+                    .send(src, dst, photo.id)
+                    .is_ok_and(TransferFate::arrived)
+                {
                     failed.push(photo.id);
                 }
             }
         }
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let mut remaining = budget;
-        let mut bytes = 0;
-        let mut failed: Vec<photodtn_coverage::PhotoId> = Vec::new();
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let mut failed: Vec<PhotoId> = Vec::new();
         loop {
             let candidate = ctx
                 .collection(node)
                 .iter()
-                .filter(|p| p.size <= remaining && !failed.contains(&p.id))
+                .filter(|p| p.size <= ctx.bytes_left() && !failed.contains(&p.id))
                 .map(|p| (self.novelty(p, ctx.cc_collection()), *p))
                 .max_by(|(na, pa), (nb, pb)| na.total_cmp(nb).then(pb.id.cmp(&pa.id)));
             let Some((_, photo)) = candidate else { break };
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-            } else {
-                failed.push(photo.id);
+            match ctx.upload(node, photo.id) {
+                Ok(outcome) if outcome.acked() => {
+                    ctx.evict(node, photo.id);
+                }
+                _ => failed.push(photo.id),
             }
-            remaining -= photo.size;
-            bytes += photo.size;
         }
-        ctx.note_upload_bytes(bytes);
     }
 
     fn export_global_state(&self) -> Option<String> {

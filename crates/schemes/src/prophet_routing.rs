@@ -9,8 +9,10 @@
 //! Spray&Wait, but *contact-history-aware* like our scheme.
 
 use photodtn_contacts::NodeId;
-use photodtn_coverage::Photo;
+use photodtn_coverage::{Photo, PhotoId};
 use photodtn_sim::{Scheme, SimCtx};
+
+use crate::rules::{evict_oldest, relay_missing, upload_in_order};
 
 /// PROPHET routing with the GRTR forwarding rule and FIFO buffers.
 ///
@@ -34,61 +36,21 @@ impl Scheme for ProphetRouting {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        let capacity = ctx.storage_bytes();
-        let collection = ctx.collection_mut(node);
-        while collection.total_size() + photo.size > capacity {
-            let Some(oldest) = collection.ids().next() else {
-                return;
-            };
-            collection.remove(oldest);
-        }
-        collection.insert(photo);
+        evict_oldest(ctx, node, photo.size, |_| {});
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         let (pa, pb) = (ctx.delivery_prob(a), ctx.delivery_prob(b));
-        let mut remaining = budget;
         // GRTR: forward only towards strictly higher predictability.
-        for (src, dst, forward) in [(a, b, pb > pa), (b, a, pa > pb)] {
-            if !forward {
-                continue;
-            }
-            let missing: Vec<Photo> = ctx
-                .collection(src)
-                .iter()
-                .filter(|p| !ctx.collection(dst).contains(p.id))
-                .copied()
-                .collect();
-            for photo in missing {
-                if photo.size > remaining {
-                    return;
-                }
-                if ctx.collection(dst).total_size() + photo.size > ctx.storage_bytes() {
-                    continue;
-                }
-                remaining -= photo.size;
-                if ctx.contact_transfer().arrived() {
-                    ctx.collection_mut(dst).insert(photo);
-                }
-            }
-        }
+        let uphill = [(a, b, pb > pa), (b, a, pa > pb)]
+            .into_iter()
+            .filter_map(|(src, dst, up)| up.then_some((src, dst)));
+        relay_missing(ctx, uphill);
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let mut remaining = budget;
-        let mut bytes = 0;
-        let photos: Vec<Photo> = ctx.collection(node).iter().copied().collect();
-        for photo in photos {
-            if photo.size > remaining {
-                break;
-            }
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-            }
-            remaining -= photo.size;
-            bytes += photo.size;
-        }
-        ctx.note_upload_bytes(bytes);
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let photos: Vec<PhotoId> = ctx.collection(node).ids().collect();
+        upload_in_order(ctx, node, photos, |_| {});
     }
 
     fn export_global_state(&self) -> Option<String> {

@@ -1,14 +1,32 @@
 use std::collections::HashMap;
 
 use photodtn_contacts::NodeId;
+use photodtn_core::transmission::TransferFate;
 use photodtn_coverage::{Photo, PhotoId};
-use photodtn_sim::{Scheme, SimCtx};
+use photodtn_sim::{Refusal, Scheme, SimCtx};
 
+use crate::rules::{evict_oldest, upload_in_order};
 use crate::value::PhotoValueCache;
 
 /// Number of copies each new photo is allowed (§V-B: "binary spray and
 /// wait protocol with four allowed copies").
 pub const SPRAY_COPIES: u32 = 4;
+
+/// Logical copies held by a spray scheme: `(node, photo) → copies`.
+type Copies = HashMap<(u32, u64), u32>;
+
+fn copies_of(copies: &Copies, node: NodeId, photo: PhotoId) -> u32 {
+    copies.get(&(node.0, photo.0)).copied().unwrap_or(0)
+}
+
+/// Binary spray: `src` hands half its copies of `photo` to `dst`, which
+/// just received it.
+fn hand_over(copies: &mut Copies, src: NodeId, dst: NodeId, photo: PhotoId) {
+    let c = copies_of(copies, src, photo);
+    let give = c / 2;
+    copies.insert((dst.0, photo.0), give);
+    copies.insert((src.0, photo.0), c - give);
+}
 
 /// Binary Spray&Wait (Spyropoulos et al.) — the content-oblivious DTN
 /// routing baseline.
@@ -18,84 +36,18 @@ pub const SPRAY_COPIES: u32 = 4;
 /// In the *spray* phase, a node holding `c > 1` copies hands `⌊c/2⌋` to a
 /// peer that lacks the photo; with `c = 1` the node *waits* and delivers
 /// only directly to the command center. Photos are transmitted in photo-id
-/// (i.e. creation) order. Buffer management is pluggable
-/// ([`with_policies`](Self::with_policies)); the classic defaults are
-/// FIFO at photo generation and drop-tail on reception.
-#[derive(Debug)]
+/// (i.e. creation) order. Buffers are FIFO at photo generation and
+/// drop-tail on reception.
+#[derive(Debug, Default)]
 pub struct SprayAndWait {
-    /// Logical copies held: `(node, photo) → copies`.
-    copies: HashMap<(u32, u64), u32>,
-    generation_policy: crate::policy::BufferPolicy,
-    receive_policy: crate::policy::BufferPolicy,
-    values: PhotoValueCache,
-}
-
-impl Default for SprayAndWait {
-    fn default() -> Self {
-        Self::new()
-    }
+    copies: Copies,
 }
 
 impl SprayAndWait {
-    /// Creates the baseline with the classic policies (FIFO generation,
-    /// drop-tail reception).
+    /// Creates the baseline.
     #[must_use]
     pub fn new() -> Self {
-        SprayAndWait {
-            copies: HashMap::new(),
-            generation_policy: crate::policy::BufferPolicy::DropOldest,
-            receive_policy: crate::policy::BufferPolicy::DropIncoming,
-            values: PhotoValueCache::new(),
-        }
-    }
-
-    /// Overrides the buffer policies (builder-style) — for buffer-
-    /// management ablations on an otherwise identical protocol.
-    #[must_use]
-    pub fn with_policies(
-        mut self,
-        generation: crate::policy::BufferPolicy,
-        receive: crate::policy::BufferPolicy,
-    ) -> Self {
-        self.generation_policy = generation;
-        self.receive_policy = receive;
-        self
-    }
-
-    fn copies_of(&self, node: NodeId, photo: PhotoId) -> u32 {
-        self.copies.get(&(node.0, photo.0)).copied().unwrap_or(0)
-    }
-
-    /// Applies a buffer policy on `node` for `incoming`; returns whether
-    /// the photo may be inserted, cleaning up copy bookkeeping for
-    /// evicted photos.
-    fn admit(
-        &mut self,
-        ctx: &mut SimCtx,
-        node: NodeId,
-        incoming: &Photo,
-        policy: crate::policy::BufferPolicy,
-    ) -> bool {
-        let capacity = ctx.storage_bytes();
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let collection = ctx.collection_mut(node);
-        match policy.make_room(
-            collection,
-            incoming,
-            capacity,
-            &mut self.values,
-            &pois,
-            params,
-        ) {
-            Some(evicted) => {
-                for id in evicted {
-                    self.copies.remove(&(node.0, id.0));
-                }
-                true
-            }
-            None => false,
-        }
+        SprayAndWait::default()
     }
 }
 
@@ -105,61 +57,41 @@ impl Scheme for SprayAndWait {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        if !self.admit(ctx, node, &photo, self.generation_policy) {
-            return;
+        let copies = &mut self.copies;
+        if evict_oldest(ctx, node, photo.size, |id| {
+            copies.remove(&(node.0, id.0));
+        }) {
+            copies.insert((node.0, photo.id.0), SPRAY_COPIES);
         }
-        ctx.collection_mut(node).insert(photo);
-        self.copies.insert((node.0, photo.id.0), SPRAY_COPIES);
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
-        let mut remaining = budget;
-        // Spray in both directions, photo-id order, while budget lasts.
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
+        // Spray in both directions, photo-id order, while budget lasts; a
+        // full receiver refuses the photo.
         for (src, dst) in [(a, b), (b, a)] {
-            let sprayable: Vec<Photo> = ctx
+            let sprayable: Vec<PhotoId> = ctx
                 .collection(src)
-                .iter()
-                .filter(|p| self.copies_of(src, p.id) > 1 && !ctx.collection(dst).contains(p.id))
-                .copied()
+                .ids()
+                .filter(|&id| copies_of(&self.copies, src, id) > 1)
+                .filter(|&id| !ctx.collection(dst).contains(id))
                 .collect();
-            for photo in sprayable {
-                if photo.size > remaining {
-                    break;
-                }
-                if !self.admit(ctx, dst, &photo, self.receive_policy) {
-                    continue;
-                }
-                remaining -= photo.size;
+            for id in sprayable {
                 // The handoff consumes budget even if the link eats it;
                 // a failed handoff moves no copies.
-                if !ctx.contact_transfer().arrived() {
-                    continue;
+                match ctx.send(src, dst, id) {
+                    Err(Refusal::NoBudget) => break,
+                    Ok(fate) if fate.arrived() => hand_over(&mut self.copies, src, dst, id),
+                    _ => {}
                 }
-                let c = self.copies_of(src, photo.id);
-                let give = c / 2;
-                ctx.collection_mut(dst).insert(photo);
-                self.copies.insert((dst.0, photo.id.0), give);
-                self.copies.insert((src.0, photo.id.0), c - give);
             }
         }
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let mut remaining = budget;
-        let mut bytes = 0;
-        let photos: Vec<Photo> = ctx.collection(node).iter().copied().collect();
-        for photo in photos {
-            if photo.size > remaining {
-                break;
-            }
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-                self.copies.remove(&(node.0, photo.id.0));
-            }
-            remaining -= photo.size;
-            bytes += photo.size;
-        }
-        ctx.note_upload_bytes(bytes);
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let photos: Vec<PhotoId> = ctx.collection(node).ids().collect();
+        upload_in_order(ctx, node, photos, |id| {
+            self.copies.remove(&(node.0, id.0));
+        });
     }
 
     fn on_node_crashed(&mut self, _ctx: &mut SimCtx, node: NodeId) {
@@ -173,9 +105,6 @@ impl Scheme for SprayAndWait {
 
     fn import_global_state(&mut self, state: &str) -> Result<(), String> {
         self.copies = import_spray_copies(state)?;
-        // The value cache is pure memoization over immutable photos —
-        // rebuilt cold, byte-identically.
-        self.values = PhotoValueCache::new();
         Ok(())
     }
 }
@@ -187,7 +116,7 @@ struct SprayGlobalState {
     copies: Vec<(u32, u64, u32)>,
 }
 
-fn export_spray_copies(copies: &HashMap<(u32, u64), u32>) -> Option<String> {
+fn export_spray_copies(copies: &Copies) -> Option<String> {
     let mut flat: Vec<(u32, u64, u32)> = copies
         .iter()
         .map(|(&(node, photo), &c)| (node, photo, c))
@@ -196,7 +125,7 @@ fn export_spray_copies(copies: &HashMap<(u32, u64), u32>) -> Option<String> {
     serde_json::to_string(&SprayGlobalState { copies: flat }).ok()
 }
 
-fn import_spray_copies(state: &str) -> Result<HashMap<(u32, u64), u32>, String> {
+fn import_spray_copies(state: &str) -> Result<Copies, String> {
     let state: SprayGlobalState = serde_json::from_str(state).map_err(|e| e.to_string())?;
     Ok(state
         .copies
@@ -215,7 +144,7 @@ fn import_spray_copies(state: &str) -> Result<HashMap<(u32, u64), u32>, String> 
 /// scheme exploits to beat it.
 #[derive(Debug, Default)]
 pub struct ModifiedSpray {
-    copies: HashMap<(u32, u64), u32>,
+    copies: Copies,
     values: PhotoValueCache,
 }
 
@@ -226,41 +155,33 @@ impl ModifiedSpray {
         ModifiedSpray::default()
     }
 
-    fn copies_of(&self, node: NodeId, photo: PhotoId) -> u32 {
-        self.copies.get(&(node.0, photo.0)).copied().unwrap_or(0)
+    /// Least-value eviction on `node` for `photo`, dropping every
+    /// victim's copy counter. Returns whether `photo` then fits.
+    fn make_room(&mut self, ctx: &mut SimCtx, node: NodeId, photo: &Photo) -> bool {
+        let copies = &mut self.copies;
+        self.values.evict_below(ctx, node, photo, |id| {
+            copies.remove(&(node.0, id.0));
+        })
     }
+}
 
-    /// Evicts lowest-value photos from `node` until `need` bytes fit,
-    /// but only while the incoming `(value, id)` beats the victim.
-    /// Returns whether the space was freed.
-    fn make_room(
-        &mut self,
-        ctx: &mut SimCtx,
-        node: NodeId,
-        need: u64,
-        incoming: ((i64, i64), PhotoId),
-    ) -> bool {
-        let capacity = ctx.storage_bytes();
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        loop {
-            if ctx.collection(node).total_size() + need <= capacity {
-                return true;
-            }
-            let worst = ctx
-                .collection(node)
-                .iter()
-                .map(|p| (self.values.value(p, &pois, params), p.id))
-                .min();
-            match worst {
-                Some(victim) if victim < incoming => {
-                    ctx.collection_mut(node).remove(victim.1);
-                    self.copies.remove(&(node.0, victim.1 .0));
-                }
-                _ => return false,
-            }
-        }
-    }
+/// `node`'s photos that pass `keep`, highest individual coverage first
+/// (ties by id): ModifiedSpray's transmission order.
+fn by_value(
+    values: &mut PhotoValueCache,
+    ctx: &SimCtx,
+    node: NodeId,
+    keep: impl Fn(&Photo) -> bool,
+) -> Vec<Photo> {
+    let (pois, params) = (ctx.pois(), ctx.coverage_params());
+    let mut ranked: Vec<((i64, i64), Photo)> = ctx
+        .collection(node)
+        .iter()
+        .filter(|p| keep(p))
+        .map(|p| (values.value(p, pois, params), *p))
+        .collect();
+    ranked.sort_by(|(va, pa), (vb, pb)| vb.cmp(va).then(pa.id.cmp(&pb.id)));
+    ranked.into_iter().map(|(_, p)| p).collect()
 }
 
 impl Scheme for ModifiedSpray {
@@ -269,76 +190,38 @@ impl Scheme for ModifiedSpray {
     }
 
     fn on_photo_generated(&mut self, ctx: &mut SimCtx, node: NodeId, photo: Photo) {
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let value = self.values.value(&photo, &pois, params);
-        if !self.make_room(ctx, node, photo.size, (value, photo.id)) {
-            return;
+        if self.make_room(ctx, node, &photo) {
+            self.copies.insert((node.0, photo.id.0), SPRAY_COPIES);
         }
-        ctx.collection_mut(node).insert(photo);
-        self.copies.insert((node.0, photo.id.0), SPRAY_COPIES);
     }
 
-    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, budget: u64) {
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let mut remaining = budget;
+    fn on_contact(&mut self, ctx: &mut SimCtx, a: NodeId, b: NodeId, _budget: u64) {
         for (src, dst) in [(a, b), (b, a)] {
-            // Highest individual coverage first.
-            let candidates: Vec<Photo> = ctx
-                .collection(src)
-                .iter()
-                .filter(|p| self.copies_of(src, p.id) > 1 && !ctx.collection(dst).contains(p.id))
-                .copied()
-                .collect();
-            let mut sprayable: Vec<((i64, i64), Photo)> = candidates
-                .into_iter()
-                .map(|p| (self.values.value(&p, &pois, params), p))
-                .collect();
-            sprayable.sort_by(|(va, pa), (vb, pb)| vb.cmp(va).then(pa.id.cmp(&pb.id)));
-            for (value, photo) in sprayable {
-                if photo.size > remaining {
+            let sprayable = by_value(&mut self.values, ctx, src, |p| {
+                copies_of(&self.copies, src, p.id) > 1 && !ctx.collection(dst).contains(p.id)
+            });
+            for photo in sprayable {
+                if photo.size > ctx.bytes_left() {
                     break;
                 }
-                if !self.make_room(ctx, dst, photo.size, (value, photo.id)) {
+                if !self.make_room(ctx, dst, &photo) {
                     continue;
                 }
-                remaining -= photo.size;
-                if !ctx.contact_transfer().arrived() {
-                    continue;
+                if ctx
+                    .send(src, dst, photo.id)
+                    .is_ok_and(TransferFate::arrived)
+                {
+                    hand_over(&mut self.copies, src, dst, photo.id);
                 }
-                let c = self.copies_of(src, photo.id);
-                let give = c / 2;
-                ctx.collection_mut(dst).insert(photo);
-                self.copies.insert((dst.0, photo.id.0), give);
-                self.copies.insert((src.0, photo.id.0), c - give);
             }
         }
     }
 
-    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, budget: u64) {
-        let pois = ctx.pois_shared();
-        let params = ctx.coverage_params();
-        let mut photos: Vec<((i64, i64), Photo)> = ctx
-            .collection(node)
-            .iter()
-            .map(|p| (self.values.value(p, &pois, params), *p))
-            .collect();
-        photos.sort_by(|(va, pa), (vb, pb)| vb.cmp(va).then(pa.id.cmp(&pb.id)));
-        let mut remaining = budget;
-        let mut bytes = 0;
-        for (_, photo) in photos {
-            if photo.size > remaining {
-                break;
-            }
-            if ctx.upload_photo(photo).acked() {
-                ctx.collection_mut(node).remove(photo.id);
-                self.copies.remove(&(node.0, photo.id.0));
-            }
-            remaining -= photo.size;
-            bytes += photo.size;
-        }
-        ctx.note_upload_bytes(bytes);
+    fn on_upload(&mut self, ctx: &mut SimCtx, node: NodeId, _budget: u64) {
+        let photos = by_value(&mut self.values, ctx, node, |_| true);
+        upload_in_order(ctx, node, photos.iter().map(|p| p.id), |id| {
+            self.copies.remove(&(node.0, id.0));
+        });
     }
 
     fn on_node_crashed(&mut self, _ctx: &mut SimCtx, node: NodeId) {
@@ -351,7 +234,7 @@ impl Scheme for ModifiedSpray {
 
     fn import_global_state(&mut self, state: &str) -> Result<(), String> {
         self.copies = import_spray_copies(state)?;
-        self.values = PhotoValueCache::new();
+        self.values = PhotoValueCache::default();
         Ok(())
     }
 }
@@ -418,37 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn value_aware_policies_improve_plain_spray() {
-        // Swapping Spray&Wait's FIFO/drop-tail buffers for the
-        // least-value policy (everything else identical) should not hurt
-        // coverage — isolating the buffer-management contribution.
-        use crate::policy::BufferPolicy;
-        let trace = CommunityTraceGenerator::new(TraceStyle::MitLike)
-            .with_num_nodes(20)
-            .with_duration_hours(60.0)
-            .generate(7);
-        let config = config().with_storage_bytes(40 * 1024 * 1024); // tight
-        let classic = Simulation::new(&config, &trace, 3).run(&mut SprayAndWait::new());
-        let value_aware = Simulation::new(&config, &trace, 3).run(
-            &mut SprayAndWait::new()
-                .with_policies(BufferPolicy::DropLeastValue, BufferPolicy::DropLeastValue),
-        );
-        assert!(
-            value_aware.final_sample().point_coverage
-                >= classic.final_sample().point_coverage - 0.02,
-            "value-aware buffers hurt: {} vs {}",
-            value_aware.final_sample().point_coverage,
-            classic.final_sample().point_coverage
-        );
-    }
-
-    #[test]
     fn spray_respects_copy_limit() {
         // With L = 4 copies, a photo can live on at most 4 nodes at once
         // (before any delivery). Verify via internal copy accounting.
         let mut s = SprayAndWait::new();
         s.copies.insert((0, 1), 4);
-        assert_eq!(s.copies_of(NodeId(0), PhotoId(1)), 4);
-        assert_eq!(s.copies_of(NodeId(1), PhotoId(1)), 0);
+        assert_eq!(copies_of(&s.copies, NodeId(0), PhotoId(1)), 4);
+        assert_eq!(copies_of(&s.copies, NodeId(1), PhotoId(1)), 0);
+        hand_over(&mut s.copies, NodeId(0), NodeId(1), PhotoId(1));
+        assert_eq!(copies_of(&s.copies, NodeId(0), PhotoId(1)), 2);
+        assert_eq!(copies_of(&s.copies, NodeId(1), PhotoId(1)), 2);
     }
 }

@@ -1,6 +1,10 @@
 use std::collections::HashMap;
 
+use photodtn_contacts::NodeId;
 use photodtn_coverage::{Coverage, CoverageParams, Photo, PhotoId, PoiList};
+use photodtn_sim::SimCtx;
+
+use crate::rules::make_room;
 
 /// Memoized *individual* photo coverage `C_ph({f})`, quantized for total
 /// ordering.
@@ -11,19 +15,18 @@ use photodtn_coverage::{Coverage, CoverageParams, Photo, PhotoId, PoiList};
 /// generation time. The value of a photo in isolation never changes, so
 /// it is computed once per photo id.
 #[derive(Clone, Debug, Default)]
-pub struct PhotoValueCache {
+pub(crate) struct PhotoValueCache {
     values: HashMap<PhotoId, (i64, i64)>,
 }
 
 impl PhotoValueCache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        PhotoValueCache::default()
-    }
-
     /// The quantized `(point, aspect)` value of `photo` in isolation.
-    pub fn value(&mut self, photo: &Photo, pois: &PoiList, params: CoverageParams) -> (i64, i64) {
+    pub(crate) fn value(
+        &mut self,
+        photo: &Photo,
+        pois: &PoiList,
+        params: CoverageParams,
+    ) -> (i64, i64) {
         if let Some(v) = self.values.get(&photo.id) {
             return *v;
         }
@@ -37,21 +40,34 @@ impl PhotoValueCache {
         q
     }
 
-    /// Forgets a photo (e.g. after permanent deletion everywhere).
-    pub fn forget(&mut self, id: PhotoId) {
-        self.values.remove(&id);
-    }
-
-    /// Number of memoized photos.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+    /// Least-value eviction: while `photo` does not fit on `node`, evicts
+    /// the stored photo with the least `(value, id)` if it ranks below
+    /// `photo`'s, telling `on_evict` about each. Returns whether `photo`
+    /// then fits.
+    pub(crate) fn evict_below(
+        &mut self,
+        ctx: &mut SimCtx,
+        node: NodeId,
+        photo: &Photo,
+        mut on_evict: impl FnMut(PhotoId),
+    ) -> bool {
+        let rank = (
+            self.value(photo, ctx.pois(), ctx.coverage_params()),
+            photo.id,
+        );
+        make_room(ctx, node, photo.size, |ctx| {
+            let (pois, params) = (ctx.pois(), ctx.coverage_params());
+            let (value, victim) = ctx
+                .collection(node)
+                .iter()
+                .map(|p| (self.value(p, pois, params), p.id))
+                .min()?;
+            if (value, victim) >= rank {
+                return None;
+            }
+            on_evict(victim);
+            Some(victim)
+        })
     }
 }
 
@@ -77,18 +93,17 @@ mod tests {
     #[test]
     fn values_ordered_and_cached() {
         let pois = pois();
-        let mut cache = PhotoValueCache::new();
+        let mut cache = PhotoValueCache::default();
         let good = cache.value(&shot(1, true), &pois, CoverageParams::default());
         let bad = cache.value(&shot(2, false), &pois, CoverageParams::default());
         assert!(good > bad);
         assert_eq!(bad, (0, 0));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.values.len(), 2);
         // cached lookup returns the same value
         assert_eq!(
             cache.value(&shot(1, true), &pois, CoverageParams::default()),
             good
         );
-        cache.forget(PhotoId(1));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.values.len(), 2);
     }
 }

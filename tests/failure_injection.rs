@@ -4,7 +4,8 @@
 
 use photodtn::contacts::synth::{CommunityTraceGenerator, TraceStyle};
 use photodtn::schemes::{
-    BestPossible, DirectDelivery, Epidemic, ModifiedSpray, OurScheme, PhotoNet, SprayAndWait,
+    BestPossible, CentralizedOracle, DirectDelivery, Epidemic, ModifiedSpray, OurScheme, PhotoNet,
+    ProphetRouting, SprayAndWait,
 };
 use photodtn::sim::{Checked, Scheme, SimConfig, Simulation};
 
@@ -31,6 +32,8 @@ fn every_scheme_survives_churn_under_invariant_checks() {
         Box::new(Checked::new(PhotoNet::new())),
         Box::new(Checked::new(Epidemic::new())),
         Box::new(Checked::new(DirectDelivery::new())),
+        Box::new(Checked::new(CentralizedOracle::new())),
+        Box::new(Checked::new(ProphetRouting::new())),
     ];
     for scheme in &mut schemes {
         let result = Simulation::new(&config, &trace, 4).run(scheme.as_mut());
